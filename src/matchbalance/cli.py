@@ -48,6 +48,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _at_least(low: int):
+    """argparse ``type=`` for an integer flag that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _load_dataset(path: str):
     with open(path, encoding="utf-8") as fh:
         return filter_valid(parse_matches(fh))
@@ -70,9 +83,9 @@ def _fit_from_args(args):
 
 
 def _add_fit_flags(p) -> None:
-    p.add_argument("--min-games", type=int, default=6,
+    p.add_argument("--min-games", type=_at_least(1), default=6,
                    help="anchor players with fewer games than this (default 6)")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_at_least(1), default=100)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--eta-cap", type=float, default=30.0)
 
@@ -204,8 +217,7 @@ def cmd_lasso(args) -> int:
         grid = default_lambda_grid(data, num=args.grid_size)
         lam = select_lambda_cv(data, args.folds, grid, args.seed,
                                _fit_options(args))
-    fit = fit_lasso(data, _fit_options(args, l1=lam),
-                    penalize_players_only=args.penalize_players_only)
+    fit = fit_lasso(data, _fit_options(args, l1=lam))
     obj = fit_to_obj(fit)
     obj["fit"]["selected_lambda"] = lam
     write_json(args.out, obj)
@@ -221,8 +233,6 @@ def _pair_csv_label(pair: tuple[str, str]) -> str:
 def cmd_bootstrap(args) -> int:
     d = _load_dataset(args.input)
     opts = _fit_options(args)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.stat == "balance":
         summary = bt.bootstrap_balance(d, args.B, opts, args.min_games, args.seed,
                                        jobs=args.jobs)
@@ -362,14 +372,14 @@ def build_parser() -> _Parser:
     p.add_argument("check", choices=["lrt", "hl", "dispersion", "residuals"])
     _add_input(p)
     _add_fit_flags(p)
-    p.add_argument("--groups", type=int, default=10, help="calibration bins")
+    p.add_argument("--groups", type=_at_least(3), default=10, help="calibration bins")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("cv", help="k-fold cross-validated accuracy")
     _add_input(p)
     _add_fit_flags(p)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_cv)
@@ -378,10 +388,9 @@ def build_parser() -> _Parser:
     _add_input(p)
     _add_fit_flags(p)
     p.add_argument("--l1", type=float, help="penalty; omit to select by CV")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--grid-size", type=int, default=50)
-    p.add_argument("--penalize-players-only", action="store_true")
+    p.add_argument("--grid-size", type=_at_least(1), default=50)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_lasso)
 
@@ -389,9 +398,9 @@ def build_parser() -> _Parser:
     p.add_argument("stat", choices=["balance", "dispersion"])
     _add_input(p)
     _add_fit_flags(p)
-    p.add_argument("-B", type=int, default=1000, help="number of draws")
+    p.add_argument("-B", type=_at_least(1), default=1000, help="number of draws")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker cap for draws; never changes the results")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(fn=cmd_bootstrap)

@@ -1,13 +1,14 @@
 """Coefficient-column bookkeeping and signed sparse design encoding.
 
-Each match contributes one row with at most three nonzero entries, all
-in {+1, -1}: +1 at player1's column, -1 at player2's column, and one
-signed entry at the map/race-matchup column when the races differ.
-Each unordered race pair owns a single column per map, stored under its
-canonical orientation; games observed in the reversed orientation carry
-sign -1 instead of a second parameter.  Swapping the two players of any
-record therefore negates its row exactly, which forces
-P(swapped) = 1 - P for every coefficient vector.
+The design is one ``scipy.sparse`` CSR matrix with a row per match and
+at most three nonzero entries per row, all in {+1, -1}: +1 at player1's
+column, -1 at player2's column, and one signed entry at the
+map/race-matchup column when the races differ.  Each unordered race
+pair owns a single column per map, stored under its canonical
+orientation; games observed in the reversed orientation carry sign -1
+instead of a second parameter.  Swapping the two players of any record
+therefore negates its row exactly, which forces P(swapped) = 1 - P for
+every coefficient vector.
 
 Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
@@ -16,10 +17,13 @@ skill is fixed to zero and they own no column.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .data import RACES, Dataset, MatchRecord, games_per_player
 
@@ -52,26 +56,28 @@ def canonical_orientation(race1: str, race2: str) -> tuple[tuple[str, str] | Non
     return (race2, race1), -1
 
 
+_ORIENTATION = {
+    (race1, race2): canonical_orientation(race1, race2)
+    for race1 in RACES
+    for race2 in RACES
+}
+
+
 def _components(d: Dataset) -> tuple[frozenset[str], ...]:
     """Connected components of the opponent graph (players joined by games)."""
-    parent: dict[str, str] = {p: p for p in d.players}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for r in d.records:
-        a, b = find(r.player1), find(r.player2)
-        if a != b:
-            parent[b] = a
-    groups: dict[str, set[str]] = {}
-    for p in d.players:
-        groups.setdefault(find(p), set()).add(p)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    players = sorted(d.players)
+    code = {p: i for i, p in enumerate(players)}
+    n = len(d.records)
+    first = np.fromiter((code[r.player1] for r in d.records), np.intc, n)
+    second = np.fromiter((code[r.player2] for r in d.records), np.intc, n)
+    graph = scipy.sparse.coo_array(
+        (np.ones(n), (first, second)), shape=(len(players), len(players))
+    )
+    count, labels = connected_components(graph, directed=False)
+    groups: list[list[str]] = [[] for _ in range(count)]
+    for player, label in zip(players, labels.tolist()):
+        groups[label].append(player)
+    return tuple(frozenset(g) for g in sorted(groups, key=min))
 
 
 @dataclass(frozen=True)
@@ -152,85 +158,96 @@ def build_parameter_index(
     )
 
 
-def _encode_parts(r: MatchRecord, idx: ParameterIndex) -> Iterator[tuple[int, int]]:
-    """Yield (column, sign) entries for one record, player1 first."""
-    for player, sign in ((r.player1, 1), (r.player2, -1)):
-        col = idx.player_columns.get(player)
-        if col is not None:
-            yield col, sign
-        elif player not in idx.anchored_players:
-            raise EncodingError(f"unknown player {player!r}")
-    pair, sign = canonical_orientation(r.race1, r.race2)
-    if pair is not None:
-        key = (r.map_name, pair)
-        if key not in idx.matchup_columns:
-            raise EncodingError(f"unknown map {r.map_name!r}")
-        yield idx.matchup_columns[key], sign
-
-
-def encode_row(r: MatchRecord, idx: ParameterIndex) -> dict[int, int]:
-    """Encode one record as a {column: sign} sparse row."""
-    return dict(_encode_parts(r, idx))
-
-
 @dataclass(frozen=True, eq=False)
 class EncodedDataset:
-    """Design rows in padded array form plus the binary responses.
+    """The design as an (n, p) CSR matrix ``X`` plus the binary responses.
 
-    ``cols``/``signs`` are (n, 3) arrays; unused slots carry sign 0 and
-    contribute nothing.  Slot order is player1, player2, matchup.
+    ``X`` stores only the +1/-1 entries, never zeros; a same-race game
+    between two anchored players is an empty row and contributes
+    nothing.
     """
 
-    cols: np.ndarray
-    signs: np.ndarray
+    X: scipy.sparse.csr_array
     response: np.ndarray
     index: ParameterIndex
 
     @property
     def n(self) -> int:
-        return self.cols.shape[0]
+        return self.X.shape[0]
 
     @property
     def p(self) -> int:
         return self.index.p
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        return (self.signs * beta[self.cols]).sum(axis=1)
+        return self.X @ beta
 
     def column_counts(self) -> np.ndarray:
-        """Number of records touching each column."""
-        touched = self.cols[self.signs != 0]
-        return np.bincount(touched.ravel(), minlength=self.p)
+        """Number of records touching each column (its CSC column length)."""
+        return np.bincount(self.X.indices, minlength=self.p)
 
     def subset(self, rows: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(
-            self.cols[rows], self.signs[rows], self.response[rows], self.index
-        )
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.p))
-        for k in range(self.cols.shape[1]):
-            dense[np.arange(self.n), self.cols[:, k]] += self.signs[:, k]
-        return dense
+        return EncodedDataset(self.X[rows], self.response[rows], self.index)
 
 
-def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
-    """Encode every record, in dataset order."""
-    n = len(d.records)
-    cols = np.zeros((n, 3), dtype=np.int32)
-    signs = np.zeros((n, 3), dtype=np.int8)
-    response = np.zeros(n, dtype=np.int8)
-    for i, r in enumerate(d.records):
+def _encode(
+    records: Sequence[MatchRecord], idx: ParameterIndex, *, strict: bool = True
+) -> EncodedDataset:
+    """Encode ``records`` in order into the CSR design.
+
+    Each record yields a player1, a player2 and a matchup slot holding a
+    column, or -1 when the slot has no entry; the slots with a column
+    are the COO triplets (row, column, sign).  With ``strict`` a player
+    or map the index does not know raises an EncodingError naming the
+    record; otherwise it contributes nothing, as an anchored player
+    does.  Unrecognized race tags always raise.
+    """
+    players = idx.player_columns
+    matchups = idx.matchup_columns
+    cols = array("i")  # three slots per record
+    matchup_signs = array("b")
+    for i, r in enumerate(records):
         try:
-            for slot, (col, sign) in enumerate(_encode_parts(r, idx)):
-                cols[i, slot] = col
-                signs[i, slot] = sign
+            for player in (r.player1, r.player2):
+                col = players.get(player, -1)
+                if col < 0 and strict and player not in idx.anchored_players:
+                    raise EncodingError(f"unknown player {player!r}")
+                cols.append(col)
+            orientation = _ORIENTATION.get((r.race1, r.race2))
+            pair, sign = orientation or canonical_orientation(r.race1, r.race2)
+            col = matchups.get((r.map_name, pair), -1)
+            if col < 0 and strict and pair is not None:
+                raise EncodingError(f"unknown map {r.map_name!r}")
+            cols.append(col)
+            matchup_signs.append(sign)
         except EncodingError as exc:
             raise EncodingError(
                 f"record {i} ({r.player1} vs {r.player2} on {r.map_name}): {exc}"
             ) from exc
-        response[i] = r.winner
-    return EncodedDataset(cols, signs, response, idx)
+    slots = np.frombuffer(cols, dtype=np.intc).reshape(-1, 3)
+    signs = np.tile(np.array([1, -1, 0], dtype=np.int8), (len(slots), 1))
+    signs[:, 2] = matchup_signs
+    present = slots >= 0
+    indptr = np.zeros(len(slots) + 1, dtype=np.intc)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    X = scipy.sparse.csr_array(
+        (signs[present].astype(float), slots[present], indptr),
+        shape=(len(records), idx.p),
+    )
+    X.sort_indices()
+    response = np.fromiter((r.winner for r in records), np.int8, len(records))
+    return EncodedDataset(X, response, idx)
+
+
+def encode_row(r: MatchRecord, idx: ParameterIndex) -> dict[int, int]:
+    """Encode one record as a {column: sign} sparse row."""
+    X = _encode([r], idx).X
+    return dict(zip(X.indices.tolist(), X.data.astype(int).tolist()))
+
+
+def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
+    """Encode every record, in dataset order."""
+    return _encode(d.records, idx)
 
 
 def index_to_obj(idx: ParameterIndex) -> dict:

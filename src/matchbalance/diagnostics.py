@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, build_design, build_parameter_index, canonical_orientation
-from .glm import FitOptions, FitResult, chi_square_sf, fit_irls, sigmoid
+from .design import EncodedDataset, _encode, build_design, build_parameter_index
+from .glm import FitOptions, FitResult, _accuracy, chi_square_sf, fit_irls
 
 
 @dataclass
@@ -74,6 +74,8 @@ def hosmer_lemeshow(
     larger bins first.  The statistic sums (O-E)^2 / (E(1-mean pi))
     over bins.
     """
+    if groups < 3:
+        raise ValueError(f"groups must be >= 3 (df = groups - 2), got {groups}")
     if data.n < groups:
         raise ValueError(f"need at least {groups} rows, got {data.n}")
     pi = fit.fitted_probabilities(data)
@@ -124,23 +126,6 @@ def residuals_vs_fitted(fit: FitResult, data: EncodedDataset) -> list[tuple[floa
     return list(zip(pi.tolist(), residuals.tolist()))
 
 
-def _predict_record(fit: FitResult, record) -> int:
-    """0.5-threshold prediction; unseen players and maps contribute 0.
-
-    Ties predict that player1 wins.
-    """
-    eta = fit.player_estimate(record.player1) - fit.player_estimate(record.player2)
-    pair, sign = canonical_orientation(record.race1, record.race2)
-    if pair is not None and (record.map_name, pair) in fit.index.matchup_columns:
-        eta += sign * fit.matchup_estimate(record.map_name, pair)
-    return 1 if sigmoid(eta) >= 0.5 else 0
-
-
-def _accuracy_on(fit: FitResult, records) -> float:
-    correct = sum(_predict_record(fit, r) == r.winner for r in records)
-    return correct / len(records)
-
-
 def k_fold_cv(
     d: Dataset,
     k: int = 10,
@@ -165,12 +150,13 @@ def k_fold_cv(
     per_fold: list[tuple[float, float]] = []
     for fold in folds:
         test_rows = set(fold.tolist())
-        train_records = [r for i, r in enumerate(d.records) if i not in test_rows]
-        test_records = [d.records[i] for i in sorted(test_rows)]
-        train = Dataset.from_records(train_records)
+        train = Dataset.from_records(r for i, r in enumerate(d.records) if i not in test_rows)
         idx = build_parameter_index(train, min_games)
-        fit = fit_irls(build_design(train, idx), opts)
-        per_fold.append((_accuracy_on(fit, train_records), _accuracy_on(fit, test_records)))
+        train_data = build_design(train, idx)
+        test_data = _encode([d.records[i] for i in sorted(test_rows)], idx, strict=False)
+        beta = fit_irls(train_data, opts).coefficients
+        per_fold.append((_accuracy(beta, train_data, opts.eta_cap),
+                         _accuracy(beta, test_data, opts.eta_cap)))
 
     train_acc = np.array([a for a, _ in per_fold])
     test_acc = np.array([b for _, b in per_fold])

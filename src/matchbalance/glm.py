@@ -61,30 +61,7 @@ def log_likelihood(beta: np.ndarray, data: EncodedDataset) -> float:
 def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
     """Gradient of the log-likelihood: X'(y - pi)."""
     eta = data.linear_predictor(np.asarray(beta, dtype=float))
-    resid = data.response - sigmoid(eta)
-    return _accumulate_score(data, resid)
-
-
-def _accumulate_score(data: EncodedDataset, resid: np.ndarray) -> np.ndarray:
-    g = np.zeros(data.p)
-    for k in range(data.cols.shape[1]):
-        g += np.bincount(
-            data.cols[:, k], weights=data.signs[:, k] * resid, minlength=data.p
-        )
-    return g
-
-
-def _accumulate_hessian(data: EncodedDataset, w: np.ndarray) -> np.ndarray:
-    """X' diag(w) X as a dense (p, p) array."""
-    p = data.p
-    flat = np.zeros(p * p)
-    cols64 = data.cols.astype(np.int64)
-    for k in range(data.cols.shape[1]):
-        for l in range(data.cols.shape[1]):
-            weights = w * (data.signs[:, k] * data.signs[:, l])
-            flat += np.bincount(cols64[:, k] * p + cols64[:, l], weights=weights,
-                                minlength=p * p)
-    return flat.reshape(p, p)
+    return data.X.T @ (data.response - sigmoid(eta))
 
 
 @dataclass(frozen=True)
@@ -172,6 +149,11 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     active = np.flatnonzero(counts > 0)
     no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
     y = data.response.astype(float)
+    # X'WX = Xa' (W Xa): slice and transpose once, rescale a copy per iteration
+    X_active = data.X[:, active] if no_data else data.X
+    X_active_t = X_active.T.tocsr()
+    weighted = X_active.copy()
+    row_nnz = np.diff(X_active.indptr)
 
     beta = np.zeros(data.p)
     deviance = -2.0 * log_likelihood(beta, data)
@@ -183,9 +165,9 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     for iterations in range(1, opts.max_iterations + 1):
         eta = np.clip(data.linear_predictor(beta), -opts.eta_cap, opts.eta_cap)
         pi = sigmoid(eta)
-        w = pi * (1.0 - pi)
-        g = _accumulate_score(data, y - pi)
-        hessian = _accumulate_hessian(data, w)[np.ix_(active, active)]
+        np.multiply(X_active.data, np.repeat(pi * (1.0 - pi), row_nnz), out=weighted.data)
+        g = X_active_t @ (y - pi)
+        hessian = (X_active_t @ weighted).toarray()
 
         try:
             factor = scipy.linalg.cho_factor(hessian)
@@ -202,7 +184,7 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
                                  no_data, path=path),
                 ) from None
         direction = np.zeros(data.p)
-        direction[active] = scipy.linalg.cho_solve(factor, g[active])
+        direction[active] = scipy.linalg.cho_solve(factor, g)
 
         step = 1.0
         new_beta = beta
@@ -248,47 +230,33 @@ def _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
     )
 
 
-def _column_lists(data: EncodedDataset):
-    """Per-column row and sign arrays for coordinate descent."""
-    nz = data.signs != 0
-    rows = np.repeat(np.arange(data.n), nz.sum(axis=1))
-    order = np.argsort(data.cols[nz], kind="stable")
-    flat_cols = data.cols[nz][order]
-    flat_rows = rows[order]
-    flat_signs = data.signs[nz][order].astype(float)
-    bounds = np.searchsorted(flat_cols, np.arange(data.p + 1))
-    return flat_rows, flat_signs, bounds
-
-
 def fit_lasso(
     data: EncodedDataset,
     opts: FitOptions,
     *,
-    penalize_players_only: bool = False,
     warm_start: np.ndarray | None = None,
 ) -> FitResult:
     """L1-penalized fit maximizing log_likelihood - lambda * sum|beta_j|.
 
     Cyclic coordinate descent with soft thresholding runs on the
     weighted quadratic approximation inside each reweighting, with
-    active-set sweeps between full passes.  With
-    ``penalize_players_only`` the matchup columns carry no penalty.
+    active-set sweeps between full passes.  ``warm_start`` seeds the
+    coefficients, typically with the solution at a neighbouring penalty.
     The index is typically built without anchoring for this fit, since
     the penalty itself makes the problem identifiable.
     """
     if data.n == 0:
         raise ValueError("cannot fit an empty dataset")
     lam = opts.l1_lambda
-    penalty = np.full(data.p, lam)
-    if penalize_players_only:
-        for col in data.index.matchup_columns.values():
-            penalty[col] = 0.0
-
-    counts = data.column_counts()
+    by_column = data.X.tocsc()
+    # native-width row indices: the sweep below indexes with them column by column
+    rows_flat = by_column.indices.astype(np.intp)
+    signs_flat, bounds = by_column.data, by_column.indptr
+    counts = np.diff(bounds)
     active_cols = np.flatnonzero(counts > 0)
     no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
     y = data.response.astype(float)
-    rows_flat, signs_flat, bounds = _column_lists(data)
+    touched = data.X.multiply(data.X).T
 
     beta = np.zeros(data.p) if warm_start is None else warm_start.copy()
     converged = False
@@ -301,8 +269,7 @@ def fit_lasso(
         w = pi * (1.0 - pi)
         # working residual of the weighted least-squares problem
         resid = (y - pi) / w + (eta_c - eta)
-        col_w = np.zeros(data.p)
-        np.add.at(col_w, np.repeat(np.arange(data.p), np.diff(bounds)), w[rows_flat])
+        col_w = touched @ w
 
         def sweep(columns: np.ndarray) -> float:
             max_delta = 0.0
@@ -313,7 +280,7 @@ def fit_lasso(
                 sl = slice(bounds[j], bounds[j + 1])
                 rj, sj = rows_flat[sl], signs_flat[sl]
                 u = np.sum(w[rj] * sj * resid[rj]) + a * beta[j]
-                bj = math.copysign(max(abs(u) - penalty[j], 0.0), u) / a
+                bj = math.copysign(max(abs(u) - lam, 0.0), u) / a
                 delta = bj - beta[j]
                 if delta != 0.0:
                     beta[j] = bj
@@ -335,13 +302,9 @@ def fit_lasso(
                         l1_lambda=lam)
 
 
-def lambda_max(data: EncodedDataset, *, penalize_players_only: bool = False) -> float:
+def lambda_max(data: EncodedDataset) -> float:
     """Smallest penalty for which the all-zero vector is optimal."""
-    g = np.abs(_accumulate_score(data, data.response - 0.5))
-    if penalize_players_only:
-        matchup_cols = list(data.index.matchup_columns.values())
-        g[matchup_cols] = 0.0
-    return float(g.max())
+    return float(np.abs(score(np.zeros(data.p), data)).max())
 
 
 def default_lambda_grid(data: EncodedDataset, num: int = 50,

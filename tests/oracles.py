@@ -3,8 +3,9 @@
 Each oracle reaches its answer by a different route than the code under
 test: gradient ascent instead of Newton steps, adaptive quadrature
 instead of incomplete-gamma evaluation, central differences instead of
-the analytic score, and direct per-row probability products instead of
-the vectorized likelihood.
+the analytic score, direct per-row probability products instead of
+the vectorized likelihood, and per-record scalar lookups instead of
+the sparse design for cross-validated prediction.
 """
 from collections import deque
 from math import exp, gamma, log
@@ -12,7 +13,9 @@ from math import exp, gamma, log
 import numpy as np
 import scipy.integrate
 
-from matchbalance.glm import log_likelihood, score
+from matchbalance.data import Dataset
+from matchbalance.design import build_design, build_parameter_index, canonical_orientation
+from matchbalance.glm import fit_irls, log_likelihood, score, sigmoid
 
 
 def gd_maximize(data, tol=1e-10, max_iter=100000):
@@ -86,3 +89,38 @@ def brute_force_log_likelihood(beta, rows, response):
         pi = 1.0 / (1.0 + exp(-eta))
         total += log(pi) if y == 1 else log(1.0 - pi)
     return total
+
+
+def predict_record(fit, record):
+    """0.5-threshold prediction by scalar lookup of each term.
+
+    Players and maps the fit does not know contribute 0; ties predict
+    that player1 wins.
+    """
+    eta = fit.player_estimate(record.player1) - fit.player_estimate(record.player2)
+    pair, sign = canonical_orientation(record.race1, record.race2)
+    if pair is not None and (record.map_name, pair) in fit.index.matchup_columns:
+        eta += sign * fit.matchup_estimate(record.map_name, pair)
+    return 1 if sigmoid(eta) >= 0.5 else 0
+
+
+def cv_accuracies(d, k, opts, min_games, seed):
+    """Per-fold (train, test) accuracies of k-fold CV, scored record by record.
+
+    Folds are drawn as ``k_fold_cv`` documents them: a seeded uniform
+    permutation split into k near-equal parts.
+    """
+    rng = np.random.default_rng(seed)
+    per_fold = []
+    for fold in np.array_split(rng.permutation(len(d.records)), k):
+        test_rows = set(fold.tolist())
+        train = [r for i, r in enumerate(d.records) if i not in test_rows]
+        test = [d.records[i] for i in sorted(test_rows)]
+        train_d = Dataset.from_records(train)
+        fit = fit_irls(build_design(train_d, build_parameter_index(train_d, min_games)),
+                       opts)
+        per_fold.append(tuple(
+            sum(predict_record(fit, r) == r.winner for r in records) / len(records)
+            for records in (train, test)
+        ))
+    return per_fold

@@ -30,6 +30,24 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bootstrap", "balance", "--jobs", 0), "--jobs"),
+    (("bootstrap", "dispersion", "-B", 0), "-B"),
+    (("cv", "--folds", 1), "--folds"),
+    (("lasso", "--folds", 1), "--folds"),
+    (("lasso", "--grid-size", 0), "--grid-size"),
+    (("diagnose", "hl", "--groups", 1), "--groups"),
+    (("fit", "--min-games", 0), "--min-games"),
+    (("fit", "--max-iter", 0), "--max-iter"),
+    (("fit", "--max-iter", "many"), "--max-iter"),
+])
+def test_out_of_range_flags_exit_1(argv, flag, league_csv, tmp_path, capsys):
+    assert run(*argv, "--input", league_csv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and f"argument {flag}" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n", encoding="utf-8")

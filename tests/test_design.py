@@ -135,12 +135,12 @@ def test_build_design_shape_and_responses():
     assert data.n == 350
     assert np.array_equal(data.response,
                           np.array([r.winner for r in d.records], dtype=np.int8))
-    # row i in the padded arrays equals the sparse dict encoding
+    # row i of the sparse matrix equals the sparse dict encoding
     for i in (0, 17, 349):
         row = mb.encode_row(d.records[i], idx)
-        padded = {int(c): int(s) for c, s in zip(data.cols[i], data.signs[i]) if s != 0}
-        assert padded == row
-    dense = data.to_dense()
+        X_row = data.X[[i]]
+        assert {int(c): int(s) for c, s in zip(X_row.indices, X_row.data)} == row
+    dense = data.X.toarray()
     assert dense.shape == (350, idx.p)
     nnz_per_row = (dense != 0).sum(axis=1)
     assert nnz_per_row.max() <= 3
@@ -162,7 +162,7 @@ def test_all_zero_row_for_anchored_same_race_game():
     idx = mb.build_parameter_index(d, min_games=5)  # both anchored by threshold
     assert idx.anchored_players == {"A", "B"}
     data = mb.build_design(d, idx)
-    assert np.all(data.signs == 0)
+    assert data.X.nnz == 0
     fit = mb.fit_irls(data)
     assert fit.fitted_probabilities(data)[0] == 0.5
 

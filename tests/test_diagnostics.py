@@ -7,8 +7,9 @@ import pytest
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.glm import FitOptions, _accumulate_score
+from matchbalance.glm import FitOptions
 from helpers import simple_league
+from oracles import cv_accuracies, predict_record
 
 
 def record(p1, r1, p2, r2, winner=1, map_name="M", day=1):
@@ -111,6 +112,13 @@ def test_hl_permutation_invariance_on_distinct_probabilities():
     assert again.p_value == pytest.approx(base.p_value, rel=1e-12)
 
 
+def test_hl_rejects_fewer_than_three_groups():
+    data, fit = coin_flip_rows(20)
+    for groups in (2, 1, 0):
+        with pytest.raises(ValueError, match="groups must be >= 3"):
+            mb.hosmer_lemeshow(fit, data, groups=groups)
+
+
 def test_hl_requires_enough_rows_and_flags_degenerate_bins():
     data, fit = coin_flip_rows(8)
     with pytest.raises(ValueError, match="at least 10"):
@@ -197,7 +205,7 @@ def test_residuals_score_orthogonality_at_optimum():
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=6))
     fit = mb.fit_irls(data, FitOptions(tolerance=1e-12))
     pi = fit.fitted_probabilities(data)
-    g = _accumulate_score(data, data.response - pi)
+    g = data.X.T @ (data.response - pi)
     observed = data.column_counts() > 0
     assert np.max(np.abs(g[observed])) < 1e-6
 
@@ -245,6 +253,31 @@ def test_cv_learns_on_strong_skill_data():
     assert min(mb.games_per_player(d).values()) >= 30
     summary = mb.k_fold_cv(d, k=5, opts=FitOptions(), min_games=6, seed=1)
     assert summary.test_mean > 0.9
+
+
+def test_cv_matches_per_record_oracle_with_unseen_symbols():
+    # each extra record is the only game of its newcomers or of its map, so
+    # whichever fold holds it tests players or a map its training split lacks
+    _, base = simple_league(74, n=600, n_players=12)
+    known = sorted(base.players)
+    race = {r.player1: r.race1 for r in base.records}
+    # same-race pairing of two unknown players: a 50-50 tie that predicts
+    # player1, here the loser, so breaking it the other way changes a count
+    tie = record("stranger_1", "Protoss", "stranger_2", "Protoss", winner=0)
+    extra = [
+        record("rookie_a", "Zerg", known[0], race[known[0]], winner=0),
+        record(known[1], race[known[1]], "rookie_b", "Protoss", winner=1),
+        record("rookie_c", "Terran", "rookie_d", "Zerg", winner=1),
+        record(known[2], "Terran", known[3], "Zerg", winner=1, map_name="new_map"),
+        record(known[4], "Zerg", known[5], "Protoss", winner=0, map_name="new_map_2"),
+        tie,
+    ]
+    d = Dataset.from_records(list(base.records) + extra)
+    opts = FitOptions()
+    summary = mb.k_fold_cv(d, k=5, opts=opts, min_games=1, seed=3)
+    assert summary.per_fold == cv_accuracies(d, 5, opts, 1, 3)
+    base_fit = mb.fit_irls(mb.build_design(base, mb.build_parameter_index(base, 1)))
+    assert predict_record(base_fit, tie) == 1
 
 
 def test_cv_validation_errors():

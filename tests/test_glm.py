@@ -6,7 +6,7 @@ import pytest
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.glm import FitOptions, _accumulate_score
+from matchbalance.glm import FitOptions
 from helpers import noise_league, pinned_small_league, simple_league
 from oracles import (
     brute_force_log_likelihood,
@@ -213,7 +213,7 @@ def test_lasso_kkt_conditions():
     fit = mb.fit_lasso(data, FitOptions(l1_lambda=lam, max_iterations=300))
     assert fit.converged
     pi = fit.fitted_probabilities(data)
-    g = _accumulate_score(data, data.response - pi)
+    g = data.X.T @ (data.response - pi)
     observed = data.column_counts() > 0
     zero = (fit.coefficients == 0.0) & observed
     nonzero = (fit.coefficients != 0.0)
@@ -229,6 +229,22 @@ def test_lasso_exact_zeros_exist_at_moderate_penalty():
     fit = mb.fit_lasso(data, FitOptions(l1_lambda=1.0, max_iterations=300))
     noise_cols = [idx.player_columns[p] for p in idx.player_columns if p.startswith("noise_")]
     assert np.mean(fit.coefficients[noise_cols] == 0.0) > 0.5
+
+
+def test_lasso_warm_start_converges_to_cold_start():
+    _, d = noise_league(91)
+    idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
+    data = mb.build_design(d, idx)
+    neighbour = mb.fit_lasso(data, FitOptions(l1_lambda=1.0, max_iterations=300))
+    start = neighbour.coefficients.copy()
+    opts = FitOptions(l1_lambda=0.75, max_iterations=300)
+    cold = mb.fit_lasso(data, opts)
+    warm = mb.fit_lasso(data, opts, warm_start=neighbour.coefficients)
+    assert cold.converged and warm.converged
+    assert np.count_nonzero(start) > 0
+    assert np.array_equal(neighbour.coefficients, start)  # the start is not modified
+    assert warm.iterations < cold.iterations  # the start was used
+    assert np.max(np.abs(warm.coefficients - cold.coefficients)) < 1e-6
 
 
 def test_lambda_max_kills_everything():
