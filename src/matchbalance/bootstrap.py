@@ -1,21 +1,23 @@
 """Case-resampling bootstrap over match records.
 
-Each draw resamples whole records with replacement, rebuilds the
-parameter index (so the anchored set can change with the resampled
-game counts), refits, and aggregates either the per-race-pair mean
-balance statistic or the dispersion estimate.  Draw ``b`` of master
-seed ``s`` uses ``numpy.random.SeedSequence((s, b))``, so results are
-identical regardless of execution order.
+Each draw takes the dataset's integer codes at the rows :func:`resample`
+would draw, indexes them afresh (so the anchored set can change with
+the resampled game counts), encodes, refits, and aggregates the
+per-race-pair mean balance statistic or the dispersion estimate.  Draw
+``b`` of master seed ``s`` uses ``numpy.random.SeedSequence((s, b))``,
+so results do not depend on execution order.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset
-from .design import CANONICAL_PAIRS, ParameterIndex, build_design, build_parameter_index
+from .design import CANONICAL_PAIRS, _encode, _index
 from .diagnostics import pearson_dispersion
 from .glm import FitError, FitOptions, FitResult, fit_irls
 
@@ -55,12 +57,16 @@ class BootstrapSummary:
     seed: int
 
 
-def resample(d: Dataset, rng: np.random.Generator) -> Dataset:
-    """Draw len(d) records uniformly with replacement; sets recomputed."""
-    if not d.records:
+def _draw_rows(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows drawn uniformly with replacement from range(n)."""
+    if not n:
         raise ValueError("cannot resample an empty dataset")
-    rows = rng.integers(0, len(d.records), size=len(d.records))
-    return Dataset.from_records(d.records[i] for i in rows)
+    return rng.integers(0, n, size=n)
+
+
+def resample(d: Dataset, rng: np.random.Generator) -> Dataset:
+    """Draw len(d) records uniformly with replacement."""
+    return Dataset.from_records(d.records[i] for i in _draw_rows(len(d), rng))
 
 
 def aggregate_balance(fit: FitResult) -> BalanceStatistic:
@@ -80,16 +86,11 @@ def aggregate_balance(fit: FitResult) -> BalanceStatistic:
     return BalanceStatistic(per_pair=per_pair, m=len(idx.maps))
 
 
-def _draw_rng(seed: int, b: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, b)))
-
-
-def _run_draw(d, opts, min_games, seed, freeze_index, b):
-    rng = _draw_rng(seed, b)
-    sample = resample(d, rng)
+def _run_draw(codes, opts, min_games, seed, b):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+    sample = codes.take(_draw_rows(len(codes.rows), rng))
     try:
-        idx = freeze_index or build_parameter_index(sample, min_games)
-        data = build_design(sample, idx)
+        data = _encode(sample, _index(sample, min_games))
         fit = fit_irls(data, opts)
     except (FitError, ValueError):
         return None, None
@@ -98,31 +99,19 @@ def _run_draw(d, opts, min_games, seed, freeze_index, b):
     return fit, data
 
 
-def _bootstrap_fits(
-    d: Dataset,
-    B: int,
-    opts: FitOptions,
-    min_games: int,
-    seed: int,
-    freeze_index: ParameterIndex | None,
-    jobs: int = 1,
-):
+def _bootstrap_fits(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
+                    jobs: int = 1):
     """Yield (fit-or-None, data-or-None) per draw, in draw order.
 
     Draws use independent derived seeds, so running them on ``jobs``
     workers cannot change the results.
     """
+    draw = partial(_run_draw, d._codes, opts, min_games, seed)
     if jobs <= 1:
-        for b in range(B):
-            yield _run_draw(d, opts, min_games, seed, freeze_index, b)
+        yield from map(draw, range(B))
         return
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(
-            lambda b: _run_draw(d, opts, min_games, seed, freeze_index, b),
-            range(B),
-        )
+        yield from pool.map(draw, range(B))
 
 
 def _check_failures(failed: int, B: int) -> None:
@@ -140,22 +129,18 @@ def bootstrap_balance(
     min_games: int = 6,
     seed: int = 0,
     *,
-    freeze_index: ParameterIndex | None = None,
     jobs: int = 1,
 ) -> BootstrapSummary:
     """Bootstrap distribution of the mean balance statistic.
 
     Non-converged draws are excluded from the summaries but counted;
-    more than 20% failures raises :class:`BootstrapError`.  Pass
-    ``freeze_index`` to reuse one anchoring across draws instead of
-    rebuilding it per draw.
+    more than 20% failures raises :class:`BootstrapError`.
     """
     if B < 1:
         raise ValueError(f"draw count must be >= 1, got {B}")
     draws: list[dict[tuple[str, str], float]] = []
     failed = 0
-    for fit, _data in _bootstrap_fits(d, B, opts, min_games, seed, freeze_index,
-                                      jobs):
+    for fit, _data in _bootstrap_fits(d, B, opts, min_games, seed, jobs):
         if fit is None:
             failed += 1
             continue
@@ -186,7 +171,6 @@ def bootstrap_dispersion(
     min_games: int = 6,
     seed: int = 0,
     *,
-    freeze_index: ParameterIndex | None = None,
     jobs: int = 1,
 ) -> BootstrapSummary:
     """Bootstrap distribution of the quasi-binomial dispersion estimate."""
@@ -194,8 +178,7 @@ def bootstrap_dispersion(
         raise ValueError(f"draw count must be >= 2, got {B}")
     draws: list[float] = []
     failed = 0
-    for fit, data in _bootstrap_fits(d, B, opts, min_games, seed, freeze_index,
-                                     jobs):
+    for fit, data in _bootstrap_fits(d, B, opts, min_games, seed, jobs):
         if fit is None:
             failed += 1
             continue

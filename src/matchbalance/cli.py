@@ -61,6 +61,21 @@ def _at_least(low: int):
     return parse
 
 
+def _fit_option(field: str):
+    """argparse ``type=`` for a float flag that FitOptions must accept as ``field``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        try:
+            FitOptions(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
 def _load_dataset(path: str):
     with open(path, encoding="utf-8") as fh:
         return filter_valid(parse_matches(fh))
@@ -86,8 +101,8 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--min-games", type=_at_least(1), default=6,
                    help="anchor players with fewer games than this (default 6)")
     p.add_argument("--max-iter", type=_at_least(1), default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--eta-cap", type=float, default=30.0)
+    p.add_argument("--tol", type=_fit_option("tolerance"), default=1e-8)
+    p.add_argument("--eta-cap", type=_fit_option("eta_cap"), default=30.0)
 
 
 def _add_input(p) -> None:
@@ -232,42 +247,30 @@ def _pair_csv_label(pair: tuple[str, str]) -> str:
 
 def cmd_bootstrap(args) -> int:
     d = _load_dataset(args.input)
-    opts = _fit_options(args)
+    run = bt.bootstrap_balance if args.stat == "balance" else bt.bootstrap_dispersion
+    summary = run(d, args.B, _fit_options(args), args.min_games, args.seed,
+                  jobs=args.jobs)
+    obj = {"kind": summary.kind, "B": summary.B, "failed": summary.failed,
+           "seed": summary.seed}
     if args.stat == "balance":
-        summary = bt.bootstrap_balance(d, args.B, opts, args.min_games, args.seed,
-                                       jobs=args.jobs)
-        write_json(f"{args.out}.json", {
-            "kind": summary.kind,
-            "B": summary.B,
-            "failed": summary.failed,
-            "seed": summary.seed,
-            "pairs": [
-                {
-                    "race1": pair[0],
-                    "race2": pair[1],
-                    "mean": summary.mean[pair] if summary.mean else None,
-                    "sd": summary.sd[pair] if summary.sd else None,
-                    "tail_prob": summary.tail_prob[pair] if summary.tail_prob else None,
-                }
-                for pair in CANONICAL_PAIRS
-            ],
-        })
+        obj["pairs"] = [
+            {
+                "race1": pair[0],
+                "race2": pair[1],
+                "mean": summary.mean[pair] if summary.mean else None,
+                "sd": summary.sd[pair] if summary.sd else None,
+                "tail_prob": summary.tail_prob[pair] if summary.tail_prob else None,
+            }
+            for pair in CANONICAL_PAIRS
+        ]
         header = ["draw"] + [_pair_csv_label(pair) for pair in CANONICAL_PAIRS]
         rows = [[i] + [draw[pair] for pair in CANONICAL_PAIRS]
                 for i, draw in enumerate(summary.draws)]
     else:
-        summary = bt.bootstrap_dispersion(d, args.B, opts, args.min_games,
-                                          args.seed, jobs=args.jobs)
-        write_json(f"{args.out}.json", {
-            "kind": summary.kind,
-            "B": summary.B,
-            "failed": summary.failed,
-            "seed": summary.seed,
-            "mean": summary.mean,
-            "sd": summary.sd,
-        })
+        obj["mean"], obj["sd"] = summary.mean, summary.sd
         header = ["draw", "phi"]
         rows = [[i, phi] for i, phi in enumerate(summary.draws)]
+    write_json(f"{args.out}.json", obj)
     write_csv(f"{args.out}_draws.csv", header, rows)
     print(f"wrote {args.out}.json and {args.out}_draws.csv "
           f"({summary.failed} failed draws)")
@@ -387,7 +390,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lasso", help="L1-penalized fit (no anchoring)")
     _add_input(p)
     _add_fit_flags(p)
-    p.add_argument("--l1", type=float, help="penalty; omit to select by CV")
+    p.add_argument("--l1", type=_fit_option("l1_lambda"),
+                   help="penalty; omit to select by CV")
     p.add_argument("--folds", type=_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--grid-size", type=_at_least(1), default=50)
@@ -452,6 +456,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "bootstrap" and args.stat == "dispersion" and args.B < 2:
+            parser.error(f"argument -B: must be >= 2 for dispersion, got {args.B}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

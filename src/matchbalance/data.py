@@ -14,7 +14,10 @@ import datetime as dt
 import io
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO
+
+import numpy as np
 
 RACES: tuple[str, str, str] = ("Terran", "Protoss", "Zerg")
 
@@ -62,19 +65,55 @@ class MatchRecord:
             raise ValueError(f"duration must be nonnegative, got {self.duration}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Codes:
+    """Records as integer codes: ``rows`` holds player1, player2, race1,
+    race2, map and winner codes per record, indexing the sorted ``players``
+    and ``maps`` and ``races`` (RACES, then unrecognized tags).  A row
+    take keeps the tables, so some codes may not occur in it."""
+
+    players: tuple[str, ...]
+    maps: tuple[str, ...]
+    races: tuple[str, ...]
+    rows: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Codes":
+        return _Codes(self.players, self.maps, self.races, self.rows[rows])
+
+    def games(self) -> np.ndarray:
+        """Games per player code (either side); 0 for players absent from the rows."""
+        return np.bincount(self.rows[:, :2].ravel(), minlength=len(self.players))
+
+
+def _code(records: tuple["MatchRecord", ...]) -> _Codes:
+    """Code ``records``, reading each field of each record once."""
+    p1 = [r.player1 for r in records]
+    p2 = [r.player2 for r in records]
+    r1 = [r.race1 for r in records]
+    r2 = [r.race2 for r in records]
+    maps = [r.map_name for r in records]
+    players = tuple(sorted(set(p1).union(p2)))
+    races = RACES + tuple(sorted(set(r1).union(r2) - set(RACES)))
+    map_table = tuple(sorted(set(maps)))
+    rows = np.empty((len(records), 6), dtype=np.intp)
+    for j, (table, column) in enumerate(zip((players, players, races, races, map_table),
+                                             (p1, p2, r1, r2, maps))):
+        code = dict(zip(table, range(len(table))))
+        rows[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+    rows[:, 5] = [r.winner for r in records]
+    return _Codes(players, map_table, races, rows)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of match records plus derived id sets.
+    """Immutable collection of match records.
 
-    ``players`` and ``maps`` are always exactly the ids appearing in
-    ``records``; build instances through :meth:`from_records` so the
-    sets stay consistent.  ``filter_log`` accumulates records dropped
-    by validation together with the reason.
+    ``filter_log`` accumulates records dropped by validation together
+    with the reason.  The records are coded once, on first use; the
+    codes give ``players`` and ``maps``, the ids appearing in them.
     """
 
     records: tuple[MatchRecord, ...]
-    players: frozenset[str]
-    maps: frozenset[str]
     filter_log: tuple[tuple[MatchRecord, str], ...] = ()
 
     @classmethod
@@ -83,17 +122,22 @@ class Dataset:
         records: Iterable[MatchRecord],
         filter_log: Iterable[tuple[MatchRecord, str]] = (),
     ) -> "Dataset":
-        records = tuple(records)
-        players: set[str] = set()
-        maps: set[str] = set()
-        for r in records:
-            players.add(r.player1)
-            players.add(r.player2)
-            maps.add(r.map_name)
-        return cls(records, frozenset(players), frozenset(maps), tuple(filter_log))
+        return cls(tuple(records), tuple(filter_log))
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def _codes(self) -> _Codes:
+        return _code(self.records)
+
+    @property
+    def players(self) -> frozenset[str]:
+        return frozenset(self._codes.players)
+
+    @property
+    def maps(self) -> frozenset[str]:
+        return frozenset(self._codes.maps)
 
 
 def parse_matches(source: str | TextIO) -> Dataset:
@@ -183,11 +227,8 @@ def filter_valid(d: Dataset) -> Dataset:
 
 def games_per_player(d: Dataset) -> dict[str, int]:
     """Number of games each player appears in (either side); keys sorted."""
-    counts: Counter[str] = Counter()
-    for r in d.records:
-        counts[r.player1] += 1
-        counts[r.player2] += 1
-    return dict(sorted(counts.items()))
+    codes = d._codes
+    return dict(zip(codes.players, codes.games().tolist()))
 
 
 @dataclass

@@ -13,19 +13,21 @@ every coefficient vector.
 Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
+
+Both steps are array operations on a dataset's integer codes, so a
+bootstrap draw or a cross-validation fold indexes and encodes a row
+take of those codes and never rebuilds records.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from .data import RACES, Dataset, MatchRecord, games_per_player
+from .data import RACES, Dataset, MatchRecord, _Codes
 
 CANONICAL_PAIRS: tuple[tuple[str, str], ...] = (
     ("Terran", "Protoss"),
@@ -56,28 +58,9 @@ def canonical_orientation(race1: str, race2: str) -> tuple[tuple[str, str] | Non
     return (race2, race1), -1
 
 
-_ORIENTATION = {
-    (race1, race2): canonical_orientation(race1, race2)
-    for race1 in RACES
-    for race2 in RACES
-}
-
-
-def _components(d: Dataset) -> tuple[frozenset[str], ...]:
-    """Connected components of the opponent graph (players joined by games)."""
-    players = sorted(d.players)
-    code = {p: i for i, p in enumerate(players)}
-    n = len(d.records)
-    first = np.fromiter((code[r.player1] for r in d.records), np.intc, n)
-    second = np.fromiter((code[r.player2] for r in d.records), np.intc, n)
-    graph = scipy.sparse.coo_array(
-        (np.ones(n), (first, second)), shape=(len(players), len(players))
-    )
-    count, labels = connected_components(graph, directed=False)
-    groups: list[list[str]] = [[] for _ in range(count)]
-    for player, label in zip(players, labels.tolist()):
-        groups[label].append(player)
-    return tuple(frozenset(g) for g in sorted(groups, key=min))
+# (canonical pair position, -1 for same race; sign) per ordered pair of race codes
+_ORIENTED = np.array([[(_PAIR_POSITION.get(pair, -1), sign) for pair, sign in
+                       (canonical_orientation(a, b) for b in RACES)] for a in RACES])
 
 
 @dataclass(frozen=True)
@@ -95,22 +78,12 @@ class ParameterIndex:
     maps: tuple[str, ...]
     p: int
     components: tuple[frozenset[str], ...]
-    canonical_pairs: tuple[tuple[str, str], ...] = CANONICAL_PAIRS
 
     def matchup_column(self, map_name: str, pair: tuple[str, str]) -> int:
         return self.matchup_columns[(map_name, pair)]
 
     def knows_player(self, player: str) -> bool:
         return player in self.player_columns or player in self.anchored_players
-
-    def column_symbols(self) -> list[str]:
-        """Human-readable symbol per column, in column order."""
-        symbols = [""] * self.p
-        for player, col in self.player_columns.items():
-            symbols[col] = f"player:{player}"
-        for (map_name, (r1, r2)), col in self.matchup_columns.items():
-            symbols[col] = f"matchup:{map_name}:{r1}>{r2}"
-        return symbols
 
 
 def build_parameter_index(
@@ -125,23 +98,36 @@ def build_parameter_index(
     by lexicographically smallest id.  Matchup columns are created for
     every (map, canonical pair) combination, observed or not.
     """
-    if not d.records:
+    return _index(d._codes, min_games, ensure_identifiable)
+
+
+def _index(codes: _Codes, min_games: int, ensure_identifiable: bool = True
+           ) -> ParameterIndex:
+    """:func:`build_parameter_index` of coded rows; absent players and maps drop out."""
+    if not len(codes.rows):
         raise ValueError("cannot index an empty dataset")
     if min_games < 1:
         raise ValueError(f"min_games must be a positive integer, got {min_games}")
-    counts = games_per_player(d)
-    anchored = {p for p, c in counts.items() if c < min_games}
-    components = _components(d)
+    games = codes.games()
+    live = np.flatnonzero(games)  # codes of the players present, in id order
+    pairs = (codes.rows[:, 0], codes.rows[:, 1])
+    graph = scipy.sparse.coo_array((np.ones(len(codes.rows)), pairs),
+                                   shape=(len(games), len(games)))
+    labels = connected_components(graph, directed=False)[1][live]
+    _, component = np.unique(labels, return_inverse=True)  # numbered 0, 1, ...
+    sizes = np.bincount(component)
+    games = games[live]
+    anchored = games < min_games
     if ensure_identifiable:
-        for component in components:
-            if component & anchored:
-                continue
-            anchored.add(min(component, key=lambda p: (counts[p], p)))
+        # each component's fewest-games member; the stable sort breaks ties by id
+        by_games = np.lexsort((games, component))
+        fewest = by_games[np.cumsum(sizes) - sizes]
+        anchored[fewest[np.bincount(component, weights=anchored) == 0]] = True
 
-    player_columns = {
-        p: i for i, p in enumerate(sorted(d.players - anchored))
-    }
-    maps = tuple(sorted(d.maps))
+    names = np.array(codes.players, dtype=object)[live]
+    player_columns = {p: i for i, p in enumerate(names[~anchored].tolist())}
+    maps = tuple(codes.maps[m] for m in np.unique(codes.rows[:, 4]).tolist())
+    groups = np.split(names[np.argsort(component, kind="stable")], np.cumsum(sizes)[:-1])
     base = len(player_columns)
     matchup_columns = {
         (m, pair): base + 3 * mi + _PAIR_POSITION[pair]
@@ -150,11 +136,11 @@ def build_parameter_index(
     }
     return ParameterIndex(
         player_columns=player_columns,
-        anchored_players=frozenset(anchored),
+        anchored_players=frozenset(names[anchored].tolist()),
         matchup_columns=matchup_columns,
         maps=maps,
         p=base + 3 * len(maps),
-        components=components,
+        components=tuple(sorted(map(frozenset, groups), key=min)),
     )
 
 
@@ -190,64 +176,64 @@ class EncodedDataset:
         return EncodedDataset(self.X[rows], self.response[rows], self.index)
 
 
-def _encode(
-    records: Sequence[MatchRecord], idx: ParameterIndex, *, strict: bool = True
-) -> EncodedDataset:
-    """Encode ``records`` in order into the CSR design.
+def _check(codes: _Codes, idx: ParameterIndex | None = None) -> None:
+    """Raise an EncodingError naming the first record that cannot be encoded.
 
-    Each record yields a player1, a player2 and a matchup slot holding a
-    column, or -1 when the slot has no entry; the slots with a column
-    are the COO triplets (row, column, sign).  With ``strict`` a player
-    or map the index does not know raises an EncodingError naming the
-    record; otherwise it contributes nothing, as an anchored player
-    does.  Unrecognized race tags always raise.
+    Unrecognized race tags always fail; given an index, so do players it
+    does not know and, in games between different races, maps it does not know.
     """
-    players = idx.player_columns
-    matchups = idx.matchup_columns
-    cols = array("i")  # three slots per record
-    matchup_signs = array("b")
-    for i, r in enumerate(records):
-        try:
-            for player in (r.player1, r.player2):
-                col = players.get(player, -1)
-                if col < 0 and strict and player not in idx.anchored_players:
-                    raise EncodingError(f"unknown player {player!r}")
-                cols.append(col)
-            orientation = _ORIENTATION.get((r.race1, r.race2))
-            pair, sign = orientation or canonical_orientation(r.race1, r.race2)
-            col = matchups.get((r.map_name, pair), -1)
-            if col < 0 and strict and pair is not None:
-                raise EncodingError(f"unknown map {r.map_name!r}")
-            cols.append(col)
-            matchup_signs.append(sign)
-        except EncodingError as exc:
-            raise EncodingError(
-                f"record {i} ({r.player1} vs {r.player2} on {r.map_name}): {exc}"
-            ) from exc
-    slots = np.frombuffer(cols, dtype=np.intc).reshape(-1, 3)
-    signs = np.tile(np.array([1, -1, 0], dtype=np.int8), (len(slots), 1))
-    signs[:, 2] = matchup_signs
+    p1, p2, r1, r2, m, _ = codes.rows.T
+    known = np.array([idx is None or idx.knows_player(p) for p in codes.players], bool)
+    mapped = np.array([idx is None or name in idx.maps for name in codes.maps], bool)
+    faults = np.stack([~known[p1], ~known[p2], r1 >= len(RACES), r2 >= len(RACES),
+                       (r1 != r2) & ~mapped[m]], axis=1)
+    if faults.any():
+        i, kind = divmod(int(faults.argmax()), faults.shape[1])
+        player1, player2 = codes.players[p1[i]], codes.players[p2[i]]
+        reason = (f"unknown player {player1!r}", f"unknown player {player2!r}",
+                  *(f"unrecognized race tag {codes.races[r]!r}" for r in (r1[i], r2[i])),
+                  f"unknown map {codes.maps[m[i]]!r}")[kind]
+        raise EncodingError(
+            f"record {i} ({player1} vs {player2} on {codes.maps[m[i]]}): {reason}")
+
+
+def _encode(codes: _Codes, idx: ParameterIndex) -> EncodedDataset:
+    """Encode coded rows, in order, into the CSR design.
+
+    Each row has a player1, a player2 and a matchup slot holding a
+    column, or -1 when the slot has no entry; the slots with a column
+    are the COO triplets (row, column, sign).  Players and maps the
+    index does not know contribute nothing, as anchored players do.
+    """
+    _check(codes)
+    p1, p2, r1, r2, m, winner = codes.rows.T
+    player = np.array([idx.player_columns.get(p, -1) for p in codes.players], np.intc)
+    matchup = np.array([[idx.matchup_columns.get((name, pair), -1)
+                         for pair in CANONICAL_PAIRS] for name in codes.maps],
+                       np.intc).reshape(-1, 3)
+    pair, sign = _ORIENTED[r1, r2].T
+    slots = np.stack([player[p1], player[p2], np.where(pair >= 0, matchup[m, pair], -1)],
+                     axis=1)
+    signs = np.stack([np.ones_like(sign), -np.ones_like(sign), sign], axis=1)
     present = slots >= 0
-    indptr = np.zeros(len(slots) + 1, dtype=np.intc)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    X = scipy.sparse.csr_array(
-        (signs[present].astype(float), slots[present], indptr),
-        shape=(len(records), idx.p),
-    )
+    indptr = np.r_[0, np.cumsum(present.sum(axis=1))].astype(np.intc)
+    X = scipy.sparse.csr_array((signs[present].astype(float), slots[present], indptr),
+                               shape=(len(slots), idx.p))
     X.sort_indices()
-    response = np.fromiter((r.winner for r in records), np.int8, len(records))
-    return EncodedDataset(X, response, idx)
+    return EncodedDataset(X, winner.astype(np.int8), idx)
 
 
 def encode_row(r: MatchRecord, idx: ParameterIndex) -> dict[int, int]:
     """Encode one record as a {column: sign} sparse row."""
-    X = _encode([r], idx).X
+    X = build_design(Dataset.from_records([r]), idx).X
     return dict(zip(X.indices.tolist(), X.data.astype(int).tolist()))
 
 
 def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
-    """Encode every record, in dataset order."""
-    return _encode(d.records, idx)
+    """Encode every record, in dataset order; an EncodingError names the
+    first record with an unknown player or map or race tag."""
+    _check(d._codes, idx)
+    return _encode(d._codes, idx)
 
 
 def index_to_obj(idx: ParameterIndex) -> dict:
@@ -257,7 +243,7 @@ def index_to_obj(idx: ParameterIndex) -> dict:
         "player_columns": dict(sorted(idx.player_columns.items())),
         "anchored_players": sorted(idx.anchored_players),
         "maps": list(idx.maps),
-        "canonical_pairs": [list(pair) for pair in idx.canonical_pairs],
+        "canonical_pairs": [list(pair) for pair in CANONICAL_PAIRS],
         "matchup_columns": [
             {"map": m, "race1": pair[0], "race2": pair[1], "column": col}
             for (m, pair), col in sorted(idx.matchup_columns.items(), key=lambda kv: kv[1])
@@ -278,5 +264,4 @@ def index_from_obj(obj: dict) -> ParameterIndex:
         maps=tuple(obj["maps"]),
         p=int(obj["p"]),
         components=tuple(frozenset(c) for c in obj["components"]),
-        canonical_pairs=tuple(tuple(pair) for pair in obj["canonical_pairs"]),
     )

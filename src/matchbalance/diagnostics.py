@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _encode, build_design, build_parameter_index
+from .design import EncodedDataset, _encode, _index
 from .glm import FitOptions, FitResult, _accuracy, chi_square_sf, fit_irls
 
 
@@ -136,24 +136,24 @@ def k_fold_cv(
     """Seeded k-fold cross-validated prediction accuracy.
 
     Rows are partitioned uniformly at random into k near-equal folds.
-    Each fold's model is indexed and fitted from its training split
-    only; players or maps unseen in training contribute 0 at
+    Each fold's model is indexed and fitted from its training rows
+    only; its test rows, in dataset order, are encoded against that
+    index, so players or maps unseen in training contribute 0 at
     prediction time, mirroring the anchoring policy.
     """
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
-    if len(d.records) < k:
+    if len(d) < k:
         raise ValueError(f"need at least {k} records for {k}-fold CV")
     rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(len(d.records)), k)
+    folds = np.array_split(rng.permutation(len(d)), k)
 
     per_fold: list[tuple[float, float]] = []
     for fold in folds:
-        test_rows = set(fold.tolist())
-        train = Dataset.from_records(r for i, r in enumerate(d.records) if i not in test_rows)
-        idx = build_parameter_index(train, min_games)
-        train_data = build_design(train, idx)
-        test_data = _encode([d.records[i] for i in sorted(test_rows)], idx, strict=False)
+        train = d._codes.take(np.delete(np.arange(len(d)), fold))
+        idx = _index(train, min_games)
+        train_data = _encode(train, idx)
+        test_data = _encode(d._codes.take(np.sort(fold)), idx)
         beta = fit_irls(train_data, opts).coefficients
         per_fold.append((_accuracy(beta, train_data, opts.eta_cap),
                          _accuracy(beta, test_data, opts.eta_cap)))

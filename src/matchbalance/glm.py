@@ -76,12 +76,12 @@ class FitOptions:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.eta_cap <= 0:
-            raise ValueError("eta_cap must be > 0")
-        if self.l1_lambda < 0:
-            raise ValueError("l1_lambda must be >= 0")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not 0 < self.eta_cap < math.inf:
+            raise ValueError(f"eta_cap must be finite and > 0, got {self.eta_cap}")
+        if not 0 <= self.l1_lambda < math.inf:
+            raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
 
 
 @dataclass(eq=False)
@@ -185,6 +185,7 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
                 ) from None
         direction = np.zeros(data.p)
         direction[active] = scipy.linalg.cho_solve(factor, g)
+        del hessian, factor  # free both p x p arrays before the next X'WX is densified
 
         step = 1.0
         new_beta = beta
@@ -345,9 +346,7 @@ def select_lambda_cv(
 
     acc = np.zeros((grid.size, k))
     for fi, fold in enumerate(folds):
-        mask = np.ones(data.n, dtype=bool)
-        mask[fold] = False
-        train = data.subset(np.flatnonzero(mask))
+        train = data.subset(np.delete(np.arange(data.n), fold))
         test = data.subset(fold)
         warm = None
         for li, lam in enumerate(grid):

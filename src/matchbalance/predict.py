@@ -2,22 +2,8 @@
 
 from __future__ import annotations
 
-from .data import RACES
 from .design import canonical_orientation
 from .glm import FitResult, sigmoid
-
-
-def _matchup_term(fit: FitResult, race1: str, race2: str, map_name: str,
-                  *, require_map: bool) -> float:
-    pair, sign = canonical_orientation(race1, race2)
-    if pair is None:
-        return 0.0
-    key = (map_name, pair)
-    if key not in fit.index.matchup_columns:
-        if require_map:
-            raise ValueError(f"unknown map {map_name!r}")
-        return 0.0
-    return sign * fit.matchup_estimate(map_name, pair)
 
 
 def predict_detail(
@@ -37,9 +23,9 @@ def predict_detail(
     """
     if player1 == player2:
         raise ValueError(f"player1 and player2 are both {player1!r}")
-    for tag in (race1, race2):
-        if tag not in RACES:
-            raise ValueError(f"unrecognized race tag {tag!r}")
+    pair, sign = canonical_orientation(race1, race2)  # raises on unrecognized races
+    if pair is not None and (map_name, pair) not in fit.index.matchup_columns:
+        raise ValueError(f"unknown map {map_name!r}")
     unknown = [
         name
         for name, player in (("player1", player1), ("player2", player2))
@@ -47,7 +33,7 @@ def predict_detail(
     ]
     c1 = fit.player_estimate(player1)
     c2 = -fit.player_estimate(player2)
-    cm = _matchup_term(fit, race1, race2, map_name, require_map=True)
+    cm = sign * fit.matchup_estimate(map_name, pair) if pair is not None else 0.0
     eta = c1 + c2 + cm
     return {
         "probability": sigmoid(eta),

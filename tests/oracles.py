@@ -4,17 +4,28 @@ Each oracle reaches its answer by a different route than the code under
 test: gradient ascent instead of Newton steps, adaptive quadrature
 instead of incomplete-gamma evaluation, central differences instead of
 the analytic score, direct per-row probability products instead of
-the vectorized likelihood, and per-record scalar lookups instead of
-the sparse design for cross-validated prediction.
+the vectorized likelihood, per-record scalar lookups instead of the
+sparse design for cross-validated prediction, and a record-by-record
+index and encoder (counters, union-find, dict lookups) instead of the
+coded, vectorized ones.
 """
-from collections import deque
+from collections import Counter, deque
 from math import exp, gamma, log
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse
 
 from matchbalance.data import Dataset
-from matchbalance.design import build_design, build_parameter_index, canonical_orientation
+from matchbalance.design import (
+    CANONICAL_PAIRS,
+    EncodedDataset,
+    EncodingError,
+    ParameterIndex,
+    build_design,
+    build_parameter_index,
+    canonical_orientation,
+)
 from matchbalance.glm import fit_irls, log_likelihood, score, sigmoid
 
 
@@ -124,3 +135,87 @@ def cv_accuracies(d, k, opts, min_games, seed):
             for records in (train, test)
         ))
     return per_fold
+
+
+def index_records(records, min_games, ensure_identifiable=True):
+    """The anchoring rule applied record by record.
+
+    Games are counted with a Counter and components found by
+    union-find; a component without an anchor gets its fewest-games
+    member, ties to the smallest id.
+    """
+    counts = Counter()
+    parent = {}
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for r in records:
+        for p in (r.player1, r.player2):
+            counts[p] += 1
+            parent.setdefault(p, p)
+        parent[root(r.player1)] = root(r.player2)
+    groups = {}
+    for p in sorted(counts):
+        groups.setdefault(root(p), set()).add(p)
+    components = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    anchored = {p for p, c in counts.items() if c < min_games}
+    if ensure_identifiable:
+        for component in components:
+            if not component & anchored:
+                anchored.add(min(component, key=lambda p: (counts[p], p)))
+    player_columns = {p: i for i, p in enumerate(sorted(set(counts) - anchored))}
+    maps = tuple(sorted({r.map_name for r in records}))
+    base = len(player_columns)
+    return ParameterIndex(
+        player_columns=player_columns,
+        anchored_players=frozenset(anchored),
+        matchup_columns={(m, pair): base + 3 * mi + pi
+                         for mi, m in enumerate(maps)
+                         for pi, pair in enumerate(CANONICAL_PAIRS)},
+        maps=maps,
+        p=base + 3 * len(maps),
+        components=components,
+    )
+
+
+def encode_records(records, idx, strict=True):
+    """Encode ``records`` in order, one record at a time, into the CSR design.
+
+    With ``strict`` a player or map the index does not know raises an
+    EncodingError naming the record; otherwise it contributes nothing,
+    as an anchored player does.  Unrecognized race tags always raise.
+    """
+    data, indices, indptr = [], [], [0]
+    for i, r in enumerate(records):
+        try:
+            row = {}
+            for player, sign in ((r.player1, 1), (r.player2, -1)):
+                if player in idx.player_columns:
+                    row[idx.player_columns[player]] = sign
+                elif strict and player not in idx.anchored_players:
+                    raise EncodingError(f"unknown player {player!r}")
+            pair, sign = canonical_orientation(r.race1, r.race2)
+            if pair is not None:
+                if (r.map_name, pair) in idx.matchup_columns:
+                    row[idx.matchup_columns[(r.map_name, pair)]] = sign
+                elif strict:
+                    raise EncodingError(f"unknown map {r.map_name!r}")
+        except EncodingError as exc:
+            raise EncodingError(
+                f"record {i} ({r.player1} vs {r.player2} on {r.map_name}): {exc}"
+            ) from exc
+        for col in sorted(row):
+            indices.append(col)
+            data.append(float(row[col]))
+        indptr.append(len(indices))
+    X = scipy.sparse.csr_array(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.intc),
+         np.array(indptr, dtype=np.intc)),
+        shape=(len(records), idx.p),
+    )
+    response = np.array([r.winner for r in records], dtype=np.int8)
+    return EncodedDataset(X, response, idx)

@@ -168,12 +168,15 @@ def test_bootstrap_jobs_do_not_change_results():
     assert serial.tail_prob == threaded.tail_prob
 
 
-def test_bootstrap_freeze_index_reuses_anchoring():
+def test_bootstrap_draws_equal_the_record_pipeline():
+    # each draw codes no records, yet equals resampling them and refitting
     _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
-    idx = mb.build_parameter_index(d, min_games=6)
-    frozen = mb.bootstrap_balance(d, B=10, min_games=6, seed=4, freeze_index=idx)
-    rebuilt = mb.bootstrap_balance(d, B=10, min_games=6, seed=4)
-    assert frozen.B == rebuilt.B == 10
-    assert frozen.failed == 0
-    # draws generally differ because the anchored set is rebuilt per draw
-    assert frozen.draws != rebuilt.draws
+    summary = mb.bootstrap_balance(d, B=10, min_games=6, seed=4)
+    expected = []
+    for b in range(10):
+        sample = mb.resample(d, np.random.default_rng(np.random.SeedSequence((4, b))))
+        fit = mb.fit_irls(mb.build_design(sample, mb.build_parameter_index(sample, 6)))
+        assert fit.converged
+        expected.append(mb.aggregate_balance(fit).per_pair)
+    assert summary.failed == 0
+    assert summary.draws == expected

@@ -40,6 +40,14 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     (("fit", "--min-games", 0), "--min-games"),
     (("fit", "--max-iter", 0), "--max-iter"),
     (("fit", "--max-iter", "many"), "--max-iter"),
+    (("bootstrap", "dispersion", "-B", 1), "-B"),
+    (("fit", "--tol", 0), "--tol"),
+    (("fit", "--tol", "nan"), "--tol"),
+    (("fit", "--tol", "inf"), "--tol"),
+    (("fit", "--eta-cap", -1), "--eta-cap"),
+    (("fit", "--eta-cap", "inf"), "--eta-cap"),
+    (("lasso", "--l1", -0.5), "--l1"),
+    (("lasso", "--l1", "nan"), "--l1"),
 ])
 def test_out_of_range_flags_exit_1(argv, flag, league_csv, tmp_path, capsys):
     assert run(*argv, "--input", league_csv, "--out", tmp_path / "out") == 1

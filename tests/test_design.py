@@ -157,6 +157,21 @@ def test_build_design_propagates_offender():
         mb.build_design(stranger, idx)
 
 
+def test_encoding_errors_name_the_first_faulty_record():
+    idx = mb.build_parameter_index(
+        Dataset.from_records([record("A", "Terran", "B", "Zerg")] * 6), min_games=1)
+    faulty = [record("A", "Terran", "B", "Zerg"), record("A", "Random", "B", "Zerg"),
+              record("C", "Terran", "B", "Zerg", map_name="N")]
+    with pytest.raises(mb.EncodingError,
+                       match=r"^record 1 \(A vs B on M\): unrecognized race tag 'Random'$"):
+        mb.build_design(Dataset.from_records(faulty), idx)
+    with pytest.raises(mb.EncodingError, match=r"^record 0 \(C vs B on N\): unknown player 'C'$"):
+        mb.build_design(Dataset.from_records(faulty[::-1]), idx)
+    # cross-validation has no unknown symbols, but still rejects unknown races
+    with pytest.raises(mb.EncodingError, match="unrecognized race tag 'Random'"):
+        mb.k_fold_cv(Dataset.from_records(faulty * 4), k=2, min_games=1)
+
+
 def test_all_zero_row_for_anchored_same_race_game():
     d = Dataset.from_records([record("A", "Terran", "B", "Terran")])
     idx = mb.build_parameter_index(d, min_games=5)  # both anchored by threshold

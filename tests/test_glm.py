@@ -184,6 +184,13 @@ def test_fit_options_validation():
         FitOptions(l1_lambda=-0.1)
 
 
+@pytest.mark.parametrize("field", ["tolerance", "eta_cap", "l1_lambda"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fit_options_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FitOptions(**{field: value})
+
+
 # ------------------------------------------------------------------ lasso
 
 def test_lasso_zero_penalty_matches_irls():
