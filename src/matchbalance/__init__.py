@@ -35,7 +35,6 @@ from .design import (
     build_design,
     build_parameter_index,
     canonical_orientation,
-    encode_row,
 )
 from .diagnostics import (
     CvSummary,
@@ -97,7 +96,6 @@ __all__ = [
     "dataset_to_csv",
     "default_lambda_grid",
     "describe",
-    "encode_row",
     "filter_valid",
     "fit_irls",
     "fit_lasso",

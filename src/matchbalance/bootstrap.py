@@ -1,9 +1,10 @@
 """Case-resampling bootstrap over match records.
 
-Each draw takes the dataset's integer codes at the rows :func:`resample`
-would draw, indexes them afresh (so the anchored set can change with
-the resampled game counts), encodes, refits, and aggregates the
-per-race-pair mean balance statistic or the dispersion estimate.  Draw
+Each draw is a :func:`resample` of the dataset, a row take of its
+integer-coded columns that builds no record.  The draw is indexed
+afresh (so the anchored set can change with the resampled game counts),
+encoded, refitted, and aggregated into the per-race-pair mean balance
+statistic or the dispersion estimate.  Draw
 ``b`` of master seed ``s`` uses ``numpy.random.SeedSequence((s, b))``,
 so results do not depend on execution order.
 """
@@ -17,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset
-from .design import CANONICAL_PAIRS, _encode, _index
+from .design import CANONICAL_PAIRS, build_design, build_parameter_index
 from .diagnostics import pearson_dispersion
 from .glm import FitError, FitOptions, FitResult, fit_irls
 
@@ -57,16 +58,11 @@ class BootstrapSummary:
     seed: int
 
 
-def _draw_rows(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n rows drawn uniformly with replacement from range(n)."""
-    if not n:
-        raise ValueError("cannot resample an empty dataset")
-    return rng.integers(0, n, size=n)
-
-
 def resample(d: Dataset, rng: np.random.Generator) -> Dataset:
-    """Draw len(d) records uniformly with replacement."""
-    return Dataset.from_records(d.records[i] for i in _draw_rows(len(d), rng))
+    """Draw len(d) records uniformly with replacement, as a row take of ``d``."""
+    if not len(d):
+        raise ValueError("cannot resample an empty dataset")
+    return d._take(rng.integers(0, len(d), size=len(d)))
 
 
 def aggregate_balance(fit: FitResult) -> BalanceStatistic:
@@ -86,11 +82,10 @@ def aggregate_balance(fit: FitResult) -> BalanceStatistic:
     return BalanceStatistic(per_pair=per_pair, m=len(idx.maps))
 
 
-def _run_draw(codes, opts, min_games, seed, b):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-    sample = codes.take(_draw_rows(len(codes.rows), rng))
+def _run_draw(d, opts, min_games, seed, b):
+    sample = resample(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
     try:
-        data = _encode(sample, _index(sample, min_games))
+        data = build_design(sample, build_parameter_index(sample, min_games))
         fit = fit_irls(data, opts)
     except (FitError, ValueError):
         return None, None
@@ -106,7 +101,7 @@ def _bootstrap_fits(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: 
     Draws use independent derived seeds, so running them on ``jobs``
     workers cannot change the results.
     """
-    draw = partial(_run_draw, d._codes, opts, min_games, seed)
+    draw = partial(_run_draw, d, opts, min_games, seed)
     if jobs <= 1:
         yield from map(draw, range(B))
         return

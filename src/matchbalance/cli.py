@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or convergence error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,16 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _at_least(low: int):
-    """argparse ``type=`` for an integer flag that must be >= ``low``."""
+def _at_least(low: float, kind: type = int):
+    """argparse ``type=`` for a finite ``kind`` flag that must be >= ``low``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    parse.__name__ = kind.__name__  # so argparse reports e.g. "invalid int value"
     return parse
 
 
@@ -110,13 +111,11 @@ def _add_input(p) -> None:
 
 
 def cmd_ingest(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        raw = parse_matches(fh)
-    d = filter_valid(raw)
+    d = _load_dataset(args.input)
     Path(args.out).write_text(dataset_to_csv(d), encoding="utf-8")
     if args.log:
         write_json(args.log, {
-            "kept": len(d.records),
+            "kept": len(d),
             "removed": [
                 {
                     "player1": r.player1, "race1": r.race1,
@@ -127,7 +126,7 @@ def cmd_ingest(args) -> int:
                 for r, reason in d.filter_log
             ],
         })
-    print(f"kept {len(d.records)} records, removed {len(d.filter_log)}")
+    print(f"kept {len(d)} records, removed {len(d.filter_log)}")
     return 0
 
 
@@ -309,7 +308,7 @@ def cmd_simulate(args) -> int:
                 for pair in CANONICAL_PAIRS
             ],
         })
-    print(f"wrote {args.out} ({len(d.records)} games)")
+    print(f"wrote {args.out} ({len(d)} games)")
     return 0
 
 
@@ -419,12 +418,12 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("simulate", help="generate a synthetic league")
-    p.add_argument("--players", type=int, required=True)
-    p.add_argument("--maps", type=int, default=3)
-    p.add_argument("--games", type=int, required=True)
+    p.add_argument("--players", type=_at_least(2), required=True)
+    p.add_argument("--maps", type=_at_least(1), default=3)
+    p.add_argument("--games", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--skill-sd", type=float, default=1.0)
-    p.add_argument("--matchup-sd", type=float, default=1.0)
+    p.add_argument("--skill-sd", type=_at_least(0, float), default=1.0)
+    p.add_argument("--matchup-sd", type=_at_least(0, float), default=1.0)
     p.add_argument("--schedule", choices=["uniform", "tournament_tail"],
                    default="uniform")
     p.add_argument("--out", required=True, help="CSV path")

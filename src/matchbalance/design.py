@@ -14,9 +14,9 @@ Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
-Both steps are array operations on a dataset's integer codes, so a
-bootstrap draw or a cross-validation fold indexes and encodes a row
-take of those codes and never rebuilds records.
+Both steps are array operations on a dataset's integer-coded columns,
+so a bootstrap draw or a cross-validation fold, a row take of those
+columns, is indexed and encoded without building a record.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from .data import RACES, Dataset, MatchRecord, _Codes
+from .data import RACES, Dataset
 
 CANONICAL_PAIRS: tuple[tuple[str, str], ...] = (
     ("Terran", "Protoss"),
@@ -98,20 +98,14 @@ def build_parameter_index(
     by lexicographically smallest id.  Matchup columns are created for
     every (map, canonical pair) combination, observed or not.
     """
-    return _index(d._codes, min_games, ensure_identifiable)
-
-
-def _index(codes: _Codes, min_games: int, ensure_identifiable: bool = True
-           ) -> ParameterIndex:
-    """:func:`build_parameter_index` of coded rows; absent players and maps drop out."""
-    if not len(codes.rows):
+    if not len(d):
         raise ValueError("cannot index an empty dataset")
     if min_games < 1:
         raise ValueError(f"min_games must be a positive integer, got {min_games}")
-    games = codes.games()
+    games = d._games()
     live = np.flatnonzero(games)  # codes of the players present, in id order
-    pairs = (codes.rows[:, 0], codes.rows[:, 1])
-    graph = scipy.sparse.coo_array((np.ones(len(codes.rows)), pairs),
+    pairs = (d._rows[:, 0], d._rows[:, 1])
+    graph = scipy.sparse.coo_array((np.ones(len(d)), pairs),
                                    shape=(len(games), len(games)))
     labels = connected_components(graph, directed=False)[1][live]
     _, component = np.unique(labels, return_inverse=True)  # numbered 0, 1, ...
@@ -124,9 +118,9 @@ def _index(codes: _Codes, min_games: int, ensure_identifiable: bool = True
         fewest = by_games[np.cumsum(sizes) - sizes]
         anchored[fewest[np.bincount(component, weights=anchored) == 0]] = True
 
-    names = np.array(codes.players, dtype=object)[live]
+    names = np.array(d._players, dtype=object)[live]
     player_columns = {p: i for i, p in enumerate(names[~anchored].tolist())}
-    maps = tuple(codes.maps[m] for m in np.unique(codes.rows[:, 4]).tolist())
+    maps = tuple(d._maps[m] for m in np.unique(d._rows[:, 4]).tolist())
     groups = np.split(names[np.argsort(component, kind="stable")], np.cumsum(sizes)[:-1])
     base = len(player_columns)
     matchup_columns = {
@@ -176,40 +170,40 @@ class EncodedDataset:
         return EncodedDataset(self.X[rows], self.response[rows], self.index)
 
 
-def _check(codes: _Codes, idx: ParameterIndex | None = None) -> None:
+def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
     """Raise an EncodingError naming the first record that cannot be encoded.
 
     Unrecognized race tags always fail; given an index, so do players it
     does not know and, in games between different races, maps it does not know.
     """
-    p1, p2, r1, r2, m, _ = codes.rows.T
-    known = np.array([idx is None or idx.knows_player(p) for p in codes.players], bool)
-    mapped = np.array([idx is None or name in idx.maps for name in codes.maps], bool)
+    p1, p2, r1, r2, m, _ = d._rows.T
+    known = np.array([idx is None or idx.knows_player(p) for p in d._players], bool)
+    mapped = np.array([idx is None or name in idx.maps for name in d._maps], bool)
     faults = np.stack([~known[p1], ~known[p2], r1 >= len(RACES), r2 >= len(RACES),
                        (r1 != r2) & ~mapped[m]], axis=1)
     if faults.any():
         i, kind = divmod(int(faults.argmax()), faults.shape[1])
-        player1, player2 = codes.players[p1[i]], codes.players[p2[i]]
+        player1, player2 = d._players[p1[i]], d._players[p2[i]]
         reason = (f"unknown player {player1!r}", f"unknown player {player2!r}",
-                  *(f"unrecognized race tag {codes.races[r]!r}" for r in (r1[i], r2[i])),
-                  f"unknown map {codes.maps[m[i]]!r}")[kind]
+                  *(f"unrecognized race tag {d._races[r]!r}" for r in (r1[i], r2[i])),
+                  f"unknown map {d._maps[m[i]]!r}")[kind]
         raise EncodingError(
-            f"record {i} ({player1} vs {player2} on {codes.maps[m[i]]}): {reason}")
+            f"record {i} ({player1} vs {player2} on {d._maps[m[i]]}): {reason}")
 
 
-def _encode(codes: _Codes, idx: ParameterIndex) -> EncodedDataset:
-    """Encode coded rows, in order, into the CSR design.
+def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
+    """Encode a dataset's coded rows, in order, into the CSR design.
 
     Each row has a player1, a player2 and a matchup slot holding a
     column, or -1 when the slot has no entry; the slots with a column
     are the COO triplets (row, column, sign).  Players and maps the
     index does not know contribute nothing, as anchored players do.
     """
-    _check(codes)
-    p1, p2, r1, r2, m, winner = codes.rows.T
-    player = np.array([idx.player_columns.get(p, -1) for p in codes.players], np.intc)
+    _check(d)
+    p1, p2, r1, r2, m, winner = d._rows.T
+    player = np.array([idx.player_columns.get(p, -1) for p in d._players], np.intc)
     matchup = np.array([[idx.matchup_columns.get((name, pair), -1)
-                         for pair in CANONICAL_PAIRS] for name in codes.maps],
+                         for pair in CANONICAL_PAIRS] for name in d._maps],
                        np.intc).reshape(-1, 3)
     pair, sign = _ORIENTED[r1, r2].T
     slots = np.stack([player[p1], player[p2], np.where(pair >= 0, matchup[m, pair], -1)],
@@ -223,17 +217,11 @@ def _encode(codes: _Codes, idx: ParameterIndex) -> EncodedDataset:
     return EncodedDataset(X, winner.astype(np.int8), idx)
 
 
-def encode_row(r: MatchRecord, idx: ParameterIndex) -> dict[int, int]:
-    """Encode one record as a {column: sign} sparse row."""
-    X = build_design(Dataset.from_records([r]), idx).X
-    return dict(zip(X.indices.tolist(), X.data.astype(int).tolist()))
-
-
 def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     """Encode every record, in dataset order; an EncodingError names the
     first record with an unknown player or map or race tag."""
-    _check(d._codes, idx)
-    return _encode(d._codes, idx)
+    _check(d, idx)
+    return _encode(d, idx)
 
 
 def index_to_obj(idx: ParameterIndex) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _encode, _index
+from .design import EncodedDataset, _encode, build_parameter_index
 from .glm import FitOptions, FitResult, _accuracy, chi_square_sf, fit_irls
 
 
@@ -150,10 +150,10 @@ def k_fold_cv(
 
     per_fold: list[tuple[float, float]] = []
     for fold in folds:
-        train = d._codes.take(np.delete(np.arange(len(d)), fold))
-        idx = _index(train, min_games)
+        train = d._take(np.delete(np.arange(len(d)), fold))
+        idx = build_parameter_index(train, min_games)
         train_data = _encode(train, idx)
-        test_data = _encode(d._codes.take(np.sort(fold)), idx)
+        test_data = _encode(d._take(np.sort(fold)), idx)
         beta = fit_irls(train_data, opts).coefficients
         per_fold.append((_accuracy(beta, train_data, opts.eta_cap),
                          _accuracy(beta, test_data, opts.eta_cap)))

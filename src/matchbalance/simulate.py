@@ -8,11 +8,12 @@ tested against a league whose true parameters are known.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RACES, Dataset, MatchRecord
+from .data import RACES, Dataset
 from .design import CANONICAL_PAIRS, canonical_orientation
 from .glm import FitResult, sigmoid
 
@@ -65,7 +66,10 @@ def random_league(
     matchup_sd: float = 1.0,
     schedule: str = "uniform",
 ) -> LeagueTruth:
-    """Draw a league with normal skills and matchup effects."""
+    """Draw a league with normal skills and matchup effects; each sd must be finite, >= 0."""
+    for name, sd in (("skill_sd", skill_sd), ("matchup_sd", matchup_sd)):
+        if not 0.0 <= sd < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
     players = [f"player_{i:03d}" for i in range(n_players)]
     maps = [f"map_{j:02d}" for j in range(n_maps)]
     skills = {p: float(rng.normal(0.0, skill_sd)) if skill_sd > 0 else 0.0
@@ -109,28 +113,19 @@ def generate(truth: LeagueTruth, n: int, rng: np.random.Generator) -> Dataset:
     else:
         weights = np.full(len(players), 1.0 / len(players))
 
-    start = dt.date(2024, 9, 1)
+    start = dt.date(2024, 9, 1).toordinal()
     span_days = 180
-    records = []
+    rows = []
     for i in range(n):
         i1, i2 = rng.choice(len(players), size=2, replace=False, p=weights)
         p1, p2 = players[i1], players[i2]
         map_name = maps[int(rng.integers(len(maps)))]
         eta = true_eta(truth, p1, p2, map_name)
         winner = int(rng.random() < sigmoid(eta))
-        records.append(
-            MatchRecord(
-                winner=winner,
-                player1=p1,
-                race1=truth.race_of[p1],
-                player2=p2,
-                race2=truth.race_of[p2],
-                map_name=map_name,
-                date=start + dt.timedelta(days=(i * span_days) // max(n, 1)),
-                duration=int(rng.integers(300, 3601)),
-            )
-        )
-    return Dataset.from_records(records)
+        date = start + (i * span_days) // max(n, 1)
+        rows.append((winner, p1, truth.race_of[p1], p2, truth.race_of[p2], map_name, date,
+                     int(rng.integers(300, 3601))))
+    return Dataset._from_rows(rows)
 
 
 def truth_error(fit: FitResult, truth: LeagueTruth) -> tuple[float, dict]:

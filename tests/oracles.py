@@ -16,7 +16,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from matchbalance.data import Dataset
+from matchbalance.data import RACES, Dataset, DescriptiveStats
 from matchbalance.design import (
     CANONICAL_PAIRS,
     EncodedDataset,
@@ -219,3 +219,67 @@ def encode_records(records, idx, strict=True):
     )
     response = np.array([r.winner for r in records], dtype=np.int8)
     return EncodedDataset(X, response, idx)
+
+
+def encode_row(r, idx):
+    """Encode one record as a {column: sign} sparse row, through build_design."""
+    X = build_design(Dataset.from_records([r]), idx).X
+    return dict(zip(X.indices.tolist(), X.data.astype(int).tolist()))
+
+
+def filter_records(d):
+    """``filter_valid`` record by record: keep the three races, log the rest."""
+    kept, log = [], list(d.filter_log)
+    for r in d.records:
+        bad = sorted({tag for tag in (r.race1, r.race2) if tag not in RACES})
+        if bad:
+            log.append((r, "unrecognized race tag(s): " + ", ".join(repr(t) for t in bad)))
+        else:
+            kept.append(r)
+    return Dataset.from_records(kept, log)
+
+
+def resample_records(d, rng):
+    """A bootstrap draw rebuilt from records: len(d) draws with replacement."""
+    return Dataset.from_records(d.records[i] for i in rng.integers(0, len(d), size=len(d)))
+
+
+def games_per_player_records(records):
+    counts = Counter(p for r in records for p in (r.player1, r.player2))
+    return dict(sorted(counts.items()))
+
+
+def describe_records(d):
+    """``describe`` by per-record sets and counters, one record at a time."""
+    race_players = {race: set() for race in RACES}
+    pair_freq, pair_wins, monthly = Counter(), Counter(), {}
+    for r in d.records:
+        race_players[r.race1].add(r.player1)
+        race_players[r.race2].add(r.player2)
+        pair_freq[tuple(sorted((r.race1, r.race2)))] += 1
+        pair_wins[(r.race1, r.race2) if r.winner == 1 else (r.race2, r.race1)] += 1
+        month = monthly.setdefault(f"{r.date.year:04d}-{r.date.month:02d}",
+                                   {race: set() for race in RACES})
+        month[r.race1].add(r.player1)
+        month[r.race2].add(r.player2)
+    counts = games_per_player_records(d.records)
+    histogram = Counter((c - 1) // 5 for c in counts.values())
+    win_ratios = {}
+    for a in RACES:
+        for b in RACES:
+            freq = pair_freq.get(tuple(sorted((a, b))), 0)
+            if a != b and freq:
+                win_ratios[(a, b)] = pair_wins.get((a, b), 0) / freq
+    trend = {}
+    for key in sorted(monthly):
+        total = sum(len(s) for s in monthly[key].values())
+        trend[key] = {race: (len(s), len(s) / total) for race, s in monthly[key].items()}
+    return DescriptiveStats(
+        race_counts={race: len(race_players[race]) for race in RACES},
+        games_per_player=counts,
+        games_histogram={f"{5 * b + 1}-{5 * b + 5}": histogram[b] for b in sorted(histogram)},
+        pair_frequencies=dict(sorted(pair_freq.items())),
+        pair_wins=dict(sorted(pair_wins.items())),
+        win_ratios=win_ratios,
+        monthly_race_trend=trend,
+    )

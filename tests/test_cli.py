@@ -48,6 +48,13 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     (("fit", "--eta-cap", "inf"), "--eta-cap"),
     (("lasso", "--l1", -0.5), "--l1"),
     (("lasso", "--l1", "nan"), "--l1"),
+    (("simulate", "--players", 1, "--games", 10), "--players"),
+    (("simulate", "--players", 5, "--maps", 0, "--games", 10), "--maps"),
+    (("simulate", "--players", 5, "--games", 0), "--games"),
+    (("simulate", "--players", 5, "--games", -5), "--games"),
+    (("simulate", "--players", 5, "--games", 10, "--skill-sd", -1), "--skill-sd"),
+    (("simulate", "--players", 5, "--games", 10, "--skill-sd", "nan"), "--skill-sd"),
+    (("simulate", "--players", 5, "--games", 10, "--matchup-sd", "inf"), "--matchup-sd"),
 ])
 def test_out_of_range_flags_exit_1(argv, flag, league_csv, tmp_path, capsys):
     assert run(*argv, "--input", league_csv, "--out", tmp_path / "out") == 1

@@ -50,6 +50,9 @@ def test_parse_keeps_unknown_race_tags():
     [
         ("2,A,Terran,B,Zerg,M,2011-01-01,100", "winner"),
         ("1,A,Terran,B,Zerg,M,01/02/2011,100", "date"),
+        ("1,A,Terran,B,Zerg,M,20110101,100", "date"),
+        ("1,A,Terran,B,Zerg,M,2011-W01-1,100", "date"),
+        ("1,A,Terran,B,Zerg,M,2011-01-01,9223372036854775808", "too large"),
         ("1,A,Terran,B,Zerg,M,2011-01-01,12m", "duration"),
         ("1,A,Terran,B,Zerg,M,2011-01-01,-5", "nonnegative"),
         ("1,A,Terran,B,Zerg,M,2011-01-01", "fields"),
@@ -62,6 +65,11 @@ def test_parse_malformed_rows_name_line(row, fragment):
         mb.parse_matches(f"{HEADER}\n{row}\n")
     assert err.value.line == 2
     assert fragment in str(err.value)
+
+
+def test_record_rejects_a_duration_the_columns_cannot_hold():
+    with pytest.raises(ValueError, match="too large"):
+        MatchRecord(1, "A", "Terran", "B", "Zerg", "M", dt.date(2011, 1, 1), 2**63)
 
 
 def test_parse_rejects_duplicate_header():

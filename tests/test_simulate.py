@@ -4,6 +4,7 @@ import pytest
 import matchbalance as mb
 from matchbalance.simulate import LeagueTruth
 from helpers import casual_base_league
+from oracles import encode_row
 
 
 def test_generate_basic_shape():
@@ -61,7 +62,7 @@ def test_generator_encoder_coherence_bit_identical():
     for key, col in idx.matchup_columns.items():
         beta[col] = truth.matchup_effects[key]
     for r in d.records:
-        row = mb.encode_row(r, idx)
+        row = encode_row(r, idx)
         eta = 0.0
         for col, sign in row.items():
             eta += sign * beta[col]
@@ -77,6 +78,11 @@ def test_truth_validation():
         )
     with pytest.raises(ValueError, match="schedule"):
         mb.random_league(4, 1, np.random.default_rng(0), schedule="round_robin")
+    for sd in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="skill_sd"):
+            mb.random_league(4, 1, np.random.default_rng(0), skill_sd=sd)
+        with pytest.raises(ValueError, match="matchup_sd"):
+            mb.random_league(4, 1, np.random.default_rng(0), matchup_sd=sd)
 
 
 def test_tournament_tail_schedule_is_heavy_tailed():
