@@ -16,7 +16,9 @@ skill is fixed to zero and they own no column.
 
 Both steps are array operations on a dataset's integer-coded columns,
 so a bootstrap draw or a cross-validation fold, a row take of those
-columns, is indexed and encoded without building a record.
+columns, is indexed and encoded without building a record.  How many
+directions the anchoring leaves unidentified follows from the design's
+structure alone (``_nullity``), which the fit reads once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .data import RACES, Dataset
 
@@ -198,8 +200,8 @@ def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     column, or -1 when the slot has no entry; the slots with a column
     are the COO triplets (row, column, sign).  Players and maps the
     index does not know contribute nothing, as anchored players do.
+    The caller has checked the race tags (``_check``).
     """
-    _check(d)
     p1, p2, r1, r2, m, winner = d._rows.T
     player = np.array([idx.player_columns.get(p, -1) for p in d._players], np.intc)
     matchup = np.array([[idx.matchup_columns.get((name, pair), -1)
@@ -222,6 +224,80 @@ def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     first record with an unknown player or map or race tag."""
     _check(d, idx)
     return _encode(d, idx)
+
+
+def _nullity(X: scipy.sparse.csr_array, Xt: scipy.sparse.csr_array, players: int,
+             gram: scipy.sparse.csr_array) -> int:
+    """Dimension of the null space of a design whose every column holds data.
+
+    ``Xt`` is the design's transpose as CSR.  The first ``players``
+    columns are player columns, the other k matchup columns; ``gram`` is
+    a positive multiple of X'X.  Anchored players merge into one ground
+    node.  A BFS forest of the opponent graph gives each player an
+    integer potential psi over the matchup columns such that every tree
+    game's row of X Z vanishes, Z = [psi; I].  A null vector then shifts
+    the players of one component without ground, or is Z v with
+    X Z v = 0, so the nullity is the number of such components plus
+    k - rank(Z' X'X Z).
+    """
+    (n, p), ground = X.shape, players
+    k = p - players
+    split = Xt.indptr[players]
+    # each game's player1 and player2 node; ground stands for anchored players
+    ends = np.full(2 * n, ground)
+    ends[Xt.indices[:split] + n * (Xt.data[:split] < 0)] = np.repeat(
+        np.arange(players), np.diff(Xt.indptr[:players + 1]))
+    u, v = ends[:n], ends[n:]
+    grounded = np.zeros(players + 1, bool)
+    grounded[np.where(v == ground, u, ground)] = True
+    grounded[np.where(u == ground, v, ground)] = True
+
+    # X'X's player rows: the opponent graph, symmetric, plus edges into
+    # the matchup nodes, which have none out.  Directed traversal of it
+    # therefore equals undirected traversal of the players, with each
+    # matchup node a component of its own, and skips a transpose.
+    nnz = gram.indptr[players]
+    graph = scipy.sparse.csr_array(
+        (gram.data[:nnz], gram.indices[:nnz],
+         np.append(gram.indptr[:players + 1], np.full(k, nnz, gram.indptr.dtype))),
+        shape=(p, p))
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    # root each component at a player who met an anchored one, if any, hung from ground
+    by_label = np.lexsort((~grounded[:players], labels[:players]))
+    roots = by_label[np.unique(labels[by_label], return_index=True)[1]]
+    parent = np.full(players + 1, -1)
+    for root in roots:
+        order, pred = breadth_first_order(graph, root, directed=True)
+        order = order[order < players]
+        parent[order[1:]] = pred[order[1:]]
+    parent[roots[grounded[roots]]] = ground
+    # a tree game per child: any game between the child and its parent
+    tree = np.full(players + 2, -1)
+    games = np.arange(n)
+    tree[np.where(parent[u] == v, u, players + 1)] = games
+    tree[np.where(parent[v] == u, v, players + 1)] = games
+    child = np.flatnonzero(tree[:players] >= 0)
+    game = tree[child]
+
+    # psi[child] - psi[parent] cancels the game's matchup entry s, the
+    # last of its row: -s when the child is player1, +s when player2
+    last = X.indptr[game + 1] - 1
+    entry = X.indices[last] >= players
+    child, game, last = child[entry], game[entry], last[entry]
+    psi = np.zeros((players + 1, k))
+    psi[child, X.indices[last] - players] = np.where(u[game] == child, -1.0, 1.0) \
+        * X.data[last]
+    # pointer doubling sums each node's steps up to its root
+    up = np.where(parent >= 0, parent, np.arange(players + 1))
+    while np.any(up[up] != up):
+        psi += psi[up]
+        up = up[up]
+
+    Z = np.vstack([psi[:players], np.eye(k)])
+    eigenvalues = np.linalg.eigvalsh(Z.T @ (gram @ Z))  # of a k x k Gram matrix
+    rank = np.count_nonzero(eigenvalues > eigenvalues.max(initial=0.0) * k * np.finfo(float).eps)
+    ungrounded = len(roots) - np.count_nonzero(grounded[roots])
+    return int(ungrounded + k - rank)
 
 
 def index_to_obj(idx: ParameterIndex) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _encode, build_parameter_index
+from .design import EncodedDataset, _check, _encode, build_parameter_index
 from .glm import FitOptions, FitResult, _accuracy, chi_square_sf, fit_irls
 
 
@@ -145,6 +145,7 @@ def k_fold_cv(
         raise ValueError(f"fold count must be >= 2, got {k}")
     if len(d) < k:
         raise ValueError(f"need at least {k} records for {k}-fold CV")
+    _check(d)  # race tags, once: every fold is a row take of d
     rng = np.random.default_rng(seed)
     folds = np.array_split(rng.permutation(len(d)), k)
 

@@ -1,11 +1,19 @@
 """Binomial-logit fitting by iteratively reweighted least squares.
 
 The unpenalized path is Newton-Raphson with step halving on the
-deviance; the L1 path runs cyclic coordinate descent with soft
-thresholding inside each reweighting, so exactly-zero coefficients are
-representable.  Matchup columns with no observations are frozen at
-zero and excluded from the solve (they are reported as having no data
-rather than dropped from the index).
+deviance.  Each Newton direction solves the sparse weighted normal
+equations X'WX d = X'(y - pi) by Jacobi-preconditioned conjugate
+gradients, so the fit never forms a dense p x p matrix and its memory
+grows with the number of games.  The L1 path runs cyclic coordinate
+descent with soft thresholding inside each reweighting, so
+exactly-zero coefficients are representable.  Matchup columns with no
+observations are frozen at zero and excluded from the solve (they are
+reported as having no data rather than dropped from the index).
+
+When the active design is rank-deficient, which the fit tests once
+from the design's structure (``design._nullity``), every Newton system
+gains ``LAST_RESORT_RIDGE`` on its diagonal; the ridge then picks the
+unidentified directions, and the fit reports ``stabilized``.
 
 Linear predictors are capped at ``eta_cap`` when computing weights and
 fitted probabilities, which keeps the weighted normal equations finite
@@ -18,44 +26,48 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
-from .design import EncodedDataset, ParameterIndex, index_from_obj, index_to_obj
+from .design import (EncodedDataset, ParameterIndex, _nullity, index_from_obj,
+                     index_to_obj)
 
 LAST_RESORT_RIDGE = 1e-10
 MAX_STEP_HALVINGS = 30
+_CG_TOLERANCE = 1e-10  # residual bound, relative to the right-hand side
+_CG_ITERATIONS_PER_COLUMN = 10
 
 
 def sigmoid(eta):
     """Logistic function 1/(1+exp(-eta)), stable for large |eta|.
 
-    Accepts scalars or arrays; satisfies sigmoid(-eta) == 1 - sigmoid(eta)
-    up to one ulp.
+    Accepts scalars or arrays and returns a float for a scalar;
+    satisfies sigmoid(-eta) == 1 - sigmoid(eta) up to one ulp.
     """
-    arr = np.asarray(eta, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out = scipy.special.expit(np.asarray(eta, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_likelihood(beta: np.ndarray, data: EncodedDataset) -> float:
     """Bernoulli log-likelihood sum_i [y_i log pi_i + (1-y_i) log(1-pi_i)].
 
-    Computed as y*eta - log(1+exp(eta)) via logaddexp, which stays
-    finite for any eta.
+    Computed as -log(1+exp(f*eta)) with f = 1 - 2y via logaddexp, which
+    stays finite for any eta; swapping the sides of a game negates both
+    f and eta, so its term does not change in any bit.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    eta = data.linear_predictor(beta)
-    y = data.response.astype(float)
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    return -_log_loss(data.linear_predictor(beta), _flip(data))
+
+
+def _flip(data: EncodedDataset) -> np.ndarray:
+    """f = 1 - 2y per row: -1 when player1 won, +1 when player2 won."""
+    return 1.0 - 2.0 * data.response
+
+
+def _log_loss(eta: np.ndarray, flip: np.ndarray) -> float:
+    """Minus the log-likelihood at linear predictors eta: sum_i log(1 + exp(f_i eta_i))."""
+    return float(np.sum(np.logaddexp(0.0, flip * eta)))
 
 
 def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
@@ -90,7 +102,10 @@ class FitResult:
 
     Anchored players own no column, so their coefficients are
     implicitly zero.  ``no_data_columns`` lists matchup columns that
-    had no observations and were frozen at zero.
+    had no observations and were frozen at zero.  ``stabilized`` means
+    the Newton systems carried ``LAST_RESORT_RIDGE``: the active design
+    is rank-deficient, so the ridge chose the unidentified directions
+    (or, rarely, conjugate gradients failed without it).
     """
 
     coefficients: np.ndarray
@@ -136,9 +151,10 @@ class FitError(RuntimeError):
 def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Maximum-likelihood fit via Newton-Raphson with step halving.
 
-    Stops when the relative deviance change drops below
-    ``opts.tolerance`` or after ``opts.max_iterations``; accepted steps
-    never increase the deviance.
+    Each direction solves X'WX d = X'(y - pi) by conjugate gradients
+    on the sparse X'WX.  Stops when the relative deviance change drops
+    below ``opts.tolerance`` or after ``opts.max_iterations``; accepted
+    steps never increase the deviance.
     """
     if opts.l1_lambda != 0:
         raise ValueError("fit_irls is unpenalized; use fit_lasso for l1_lambda > 0")
@@ -148,7 +164,8 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     counts = data.column_counts()
     active = np.flatnonzero(counts > 0)
     no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
-    y = data.response.astype(float)
+    players = int(np.searchsorted(active, len(data.index.player_columns)))
+    flip = _flip(data)
     # X'WX = Xa' (W Xa): slice and transpose once, rescale a copy per iteration
     X_active = data.X[:, active] if no_data else data.X
     X_active_t = X_active.T.tocsr()
@@ -156,54 +173,53 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     row_nnz = np.diff(X_active.indptr)
 
     beta = np.zeros(data.p)
-    deviance = -2.0 * log_likelihood(beta, data)
+    eta = data.linear_predictor(beta)
+    deviance = 2.0 * _log_loss(eta, flip)
     path = [deviance]
     stabilized = False
     converged = False
     iterations = 0
 
     for iterations in range(1, opts.max_iterations + 1):
-        eta = np.clip(data.linear_predictor(beta), -opts.eta_cap, opts.eta_cap)
-        pi = sigmoid(eta)
-        np.multiply(X_active.data, np.repeat(pi * (1.0 - pi), row_nnz), out=weighted.data)
-        g = X_active_t @ (y - pi)
-        hessian = (X_active_t @ weighted).toarray()
-
-        try:
-            factor = scipy.linalg.cho_factor(hessian)
-        except scipy.linalg.LinAlgError:
+        # chance of the outcome not observed: 1 - pi or pi; it, and so the
+        # whole iteration, is unchanged when both sides of every game swap
+        miss = sigmoid(flip * np.clip(eta, -opts.eta_cap, opts.eta_cap))
+        np.multiply(X_active.data, np.repeat(miss * (1.0 - miss), row_nnz),
+                    out=weighted.data)
+        g = -(X_active_t @ (flip * miss))
+        hessian = X_active_t @ weighted
+        if iterations == 1:
+            # every weight is 1/4 at beta = 0, so this X'WX is X'X / 4
+            stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
+        solution, solved = _cg(hessian, g, LAST_RESORT_RIDGE if stabilized else 0.0)
+        if not solved and not stabilized:
             stabilized = True
-            try:
-                factor = scipy.linalg.cho_factor(
-                    hessian + LAST_RESORT_RIDGE * np.eye(len(active))
-                )
-            except scipy.linalg.LinAlgError:
-                raise FitError(
-                    "weighted normal equations singular even after ridge",
-                    _make_result(beta, data, iterations, False, opts, stabilized,
-                                 no_data, path=path),
-                ) from None
+            solution, solved = _cg(hessian, g, LAST_RESORT_RIDGE)
+        if not solved:
+            raise FitError(
+                "conjugate gradients did not solve the Newton system even with the ridge",
+                _make_result(beta, data, iterations, False, opts, stabilized,
+                             no_data, path=path),
+            )
         direction = np.zeros(data.p)
-        direction[active] = scipy.linalg.cho_solve(factor, g)
-        del hessian, factor  # free both p x p arrays before the next X'WX is densified
+        direction[active] = solution
 
         step = 1.0
-        new_beta = beta
-        new_deviance = deviance
         accepted = False
         for _ in range(MAX_STEP_HALVINGS + 1):
             candidate = beta + step * direction
-            candidate_dev = -2.0 * log_likelihood(candidate, data)
+            candidate_eta = data.linear_predictor(candidate)
+            candidate_dev = 2.0 * _log_loss(candidate_eta, flip)
             if candidate_dev <= deviance:
-                new_beta, new_deviance, accepted = candidate, candidate_dev, True
+                accepted = True
                 break
             step *= 0.5
         if not accepted:
             converged = True  # no descent available at float precision
             break
 
-        rel_change = abs(deviance - new_deviance) / max(deviance, 1e-10)
-        beta, deviance = new_beta, new_deviance
+        rel_change = abs(deviance - candidate_dev) / max(deviance, 1e-10)
+        beta, eta, deviance = candidate, candidate_eta, candidate_dev
         path.append(deviance)
         if rel_change < opts.tolerance:
             converged = True
@@ -211,6 +227,42 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
 
     return _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
                         path=path)
+
+
+def _cg(matrix, rhs: np.ndarray, ridge: float) -> tuple[np.ndarray, bool]:
+    """Solve (matrix + ridge I) x = rhs by Jacobi-preconditioned conjugate gradients.
+
+    Stops once the residual is within ``_CG_TOLERANCE`` of |rhs|, or
+    after ``_CG_ITERATIONS_PER_COLUMN`` iterations per unknown; returns
+    the iterate and whether it met the bound.  ``matrix`` is symmetric
+    positive semidefinite with a positive diagonal.
+    """
+    inv_diag = 1.0 / (matrix.diagonal() + ridge)
+    bound = _CG_TOLERANCE ** 2 * (rhs @ rhs)  # on the squared residual norm
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    if r @ r <= bound:
+        return x, True
+    z = inv_diag * r
+    d = z.copy()
+    rz = r @ z
+    for _ in range(_CG_ITERATIONS_PER_COLUMN * rhs.size):
+        md = matrix @ d
+        if ridge:
+            md += ridge * d
+        curvature = d @ md
+        if not curvature > 0:
+            break
+        alpha = rz / curvature
+        x += alpha * d
+        r -= alpha * md
+        if r @ r <= bound:
+            return x, True
+        np.multiply(inv_diag, r, out=z)
+        rz, rz_old = r @ z, rz
+        d *= rz / rz_old
+        d += z
+    return x, False
 
 
 def _make_result(beta, data, iterations, converged, opts, stabilized, no_data,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import matchbalance as mb
+from matchbalance import design, diagnostics
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.design import index_from_obj, index_to_obj
 from helpers import simple_league
@@ -168,9 +169,29 @@ def test_encoding_errors_name_the_first_faulty_record():
         mb.build_design(Dataset.from_records(faulty), idx)
     with pytest.raises(mb.EncodingError, match=r"^record 0 \(C vs B on N\): unknown player 'C'$"):
         mb.build_design(Dataset.from_records(faulty[::-1]), idx)
-    # cross-validation has no unknown symbols, but still rejects unknown races
-    with pytest.raises(mb.EncodingError, match="unrecognized race tag 'Random'"):
+    # cross-validation has no unknown symbols, but still rejects unknown races,
+    # naming the record of the dataset it was given
+    with pytest.raises(mb.EncodingError,
+                       match=r"^record 1 \(A vs B on M\): unrecognized race tag 'Random'$"):
         mb.k_fold_cv(Dataset.from_records(faulty * 4), k=2, min_games=1)
+
+
+def test_race_tags_are_scanned_once(monkeypatch):
+    # once per build_design call, and once per k_fold_cv call, not per fold
+    scans = []
+    check = design._check
+
+    def counted(*args):
+        scans.append(args)
+        check(*args)
+
+    monkeypatch.setattr(design, "_check", counted)
+    monkeypatch.setattr(diagnostics, "_check", counted)
+    _, d = simple_league(18, n=60)
+    mb.build_design(d, mb.build_parameter_index(d, min_games=1))
+    assert len(scans) == 1
+    mb.k_fold_cv(d, k=3, min_games=1)
+    assert len(scans) == 2
 
 
 def test_all_zero_row_for_anchored_same_race_game():

@@ -6,10 +6,12 @@ import pytest
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
+from matchbalance import glm
 from matchbalance.glm import FitOptions
 from helpers import noise_league, pinned_small_league, simple_league
 from oracles import (
     brute_force_log_likelihood,
+    dense_newton_fit,
     encode_row,
     finite_diff_score,
     gd_maximize,
@@ -122,6 +124,46 @@ def test_fit_irls_matches_gradient_descent_oracle():
         assert np.max(np.abs(fit.coefficients - oracle_beta)) < 1e-6
 
 
+def test_fit_irls_matches_the_dense_newton_oracle():
+    # min_games=3 anchors the casuals and identifies the model; min_games=1
+    # anchors one player only, which leaves the race directions unidentified,
+    # and there the ridge picks them, so only the fit itself must agree
+    identified = deficient = 0
+    for seed in range(3001, 3011):
+        d = pinned_small_league(seed)
+        for min_games in (3, 1):
+            data = mb.build_design(d, mb.build_parameter_index(d, min_games))
+            fit = mb.fit_irls(data)
+            beta, deviance, iterations, converged, stabilized = dense_newton_fit(data)
+            assert (fit.stabilized, fit.iterations, fit.converged) == (
+                stabilized, iterations, converged)
+            if stabilized:
+                deficient += 1
+                assert fit.deviance == pytest.approx(deviance, rel=1e-8)
+            else:
+                identified += 1
+                assert np.max(np.abs(fit.coefficients - beta)) < 1e-8
+    assert identified == deficient == 10
+
+
+def test_fit_irls_falls_back_to_the_ridge_when_conjugate_gradients_fail(monkeypatch):
+    d = pinned_small_league(3001)
+    data = mb.build_design(d, mb.build_parameter_index(d, min_games=3))
+    solve = glm._cg
+
+    def fails_without_ridge(matrix, rhs, ridge):
+        x, solved = solve(matrix, rhs, ridge)
+        return x, solved and ridge > 0
+
+    monkeypatch.setattr(glm, "_cg", fails_without_ridge)
+    fit = mb.fit_irls(data)
+    assert fit.stabilized and fit.converged
+    monkeypatch.setattr(glm, "_cg", lambda matrix, rhs, ridge: (0 * rhs, False))
+    with pytest.raises(mb.FitError, match="even with the ridge") as raised:
+        mb.fit_irls(data)
+    assert raised.value.result.iterations == 1
+
+
 def test_fit_irls_monotone_deviance_and_convergence_metadata():
     _, d = simple_league(23, n=400)
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=6))
@@ -144,6 +186,15 @@ def test_fit_irls_swap_invariance():
         mb.build_design(flipped, mb.build_parameter_index(flipped, min_games=3)), opts
     )
     assert np.allclose(fit.coefficients, fit2.coefficients, atol=1e-8)
+    # the last Newton step of this league changes the deviance by less than
+    # its float resolution; the iteration is swap-symmetric in every bit, so
+    # rounding still cannot send the two fits different ways
+    d = Dataset.from_records(record("A", "Terran", "B", "Terran", winner=w)
+                             for w in (0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1))
+    idx = mb.build_parameter_index(d, min_games=1)
+    fit = mb.fit_irls(mb.build_design(d, idx))
+    fit2 = mb.fit_irls(mb.build_design(swap_all(d), idx))
+    assert np.array_equal(fit.coefficients, fit2.coefficients)
 
 
 def test_fit_irls_rejects_penalty_and_empty_data():

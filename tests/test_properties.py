@@ -1,13 +1,16 @@
-"""Property tests of the columnar dataset and the design encoder.
+"""Property tests of the columnar dataset, the design encoder and the fit.
 
 Swapping the two sides of every game negates the design, reordering
 records reorders its rows, and a CSV round trip changes nothing.  Row
 takes of a dataset, as bootstrap draws and CV folds make them, index
 and encode exactly as the record-by-record oracle does, and filtering,
 summaries, id sets, records and equality of the columns agree with
-record loops.
+record loops.  The design's structural nullity equals its dense rank
+deficiency, and the fit keeps swap symmetry of the fitted
+probabilities and record-order invariance of the coefficients.
 """
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _encode
+from matchbalance.design import _encode, _nullity
 from oracles import (
+    dense_newton_fit,
     describe_records,
     encode_records,
     filter_records,
@@ -54,6 +58,20 @@ datasets = st.lists(records(), min_size=1, max_size=40).map(Dataset.from_records
 raw_datasets = st.lists(records([*mb.RACES, "Random", "random"]), min_size=1,
                         max_size=40).map(Dataset.from_records)
 min_games = st.integers(1, 8)
+
+
+@st.composite
+def contested(draw):
+    """Games whose every pairing was both won and lost, plus repeats with drawn winners.
+
+    Each design row then occurs with both responses, so no direction
+    separates the outcomes and the maximum-likelihood fit is finite.
+    """
+    base = draw(st.lists(records(), min_size=1, max_size=20))
+    repeats = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, 1)),
+                            max_size=40))
+    return Dataset.from_records([replace(r, winner=w) for r in base for w in (0, 1)]
+                                + [replace(base[i], winner=w) for i, w in repeats])
 
 
 def swap(r):
@@ -164,3 +182,49 @@ def test_columnar_dataset_matches_the_record_oracles(raw, draw):
         assert filtered.players == expected.players and filtered.maps == expected.maps
         assert (in_order(vars(mb.describe(filtered)))
                 == in_order(vars(describe_records(expected))))
+
+
+@encoder_settings
+@given(st.lists(records(), min_size=1, max_size=60).map(Dataset.from_records),
+       st.integers(1, 20), st.booleans())
+def test_structural_nullity_equals_the_dense_rank_deficiency(d, m, identifiable):
+    data = mb.build_design(d, mb.build_parameter_index(d, m, ensure_identifiable=identifiable))
+    active = np.flatnonzero(data.column_counts() > 0)
+    X = data.X[:, active]
+    players = int(np.searchsorted(active, len(data.index.player_columns)))
+    dense = X.toarray()
+    expected = X.shape[1] - (np.linalg.matrix_rank(dense) if dense.size else 0)
+    assert _nullity(X, X.T.tocsr(), players, (X.T @ X).tocsr()) == expected
+    fit = mb.fit_irls(data)
+    assert fit.stabilized == (expected > 0) == dense_newton_fit(data)[4]
+
+
+@encoder_settings
+@given(datasets, min_games)
+def test_fit_keeps_swap_symmetry_of_fitted_probabilities(d, m):
+    idx, data = encode(d, m)
+    swapped = mb.build_design(Dataset.from_records(swap(r) for r in d.records), idx)
+    pi = mb.fit_irls(data).fitted_probabilities(data)
+    pi_swapped = mb.fit_irls(swapped).fitted_probabilities(swapped)
+    assert np.max(np.abs(pi + pi_swapped - 1.0)) <= 1e-12
+
+
+@encoder_settings
+@given(contested(), min_games, st.randoms(use_true_random=False))
+def test_fit_keeps_record_order_invariance(d, m, rnd):
+    idx, data = encode(d, m)
+    order = list(range(len(d)))
+    rnd.shuffle(order)
+    permuted = mb.build_design(Dataset.from_records(d.records[i] for i in order), idx)
+    fit, fit_permuted = mb.fit_irls(data), mb.fit_irls(permuted)
+    assert fit.stabilized == fit_permuted.stabilized
+    # Row order changes only the order of the sums in X'WX and X'(y - pi),
+    # but the last Newton step changes the deviance by less than its float
+    # resolution, so the step-halving test takes or halves it by rounding.
+    # Near the optimum that test tells coefficients apart only to about
+    # sqrt(ulp(deviance) / curvature): some 1e-7 on leagues this small.
+    assert np.max(np.abs(fit.fitted_probabilities(data)[order]
+                         - fit_permuted.fitted_probabilities(permuted)), initial=0) <= 1e-7
+    if not fit.stabilized:
+        # unidentified directions are the ridge's arbitrary choice; the rest must not move
+        assert np.max(np.abs(fit.coefficients - fit_permuted.coefficients), initial=0) <= 1e-6
