@@ -82,39 +82,35 @@ def aggregate_balance(fit: FitResult) -> BalanceStatistic:
     return BalanceStatistic(per_pair=per_pair, m=len(idx.maps))
 
 
-def _run_draw(d, opts, min_games, seed, b):
+def _run_draw(d, opts, min_games, seed, statistic, b):
+    """Draw ``b``'s statistic of its converged refit, or None if the draw fails."""
     sample = resample(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
     try:
         data = build_design(sample, build_parameter_index(sample, min_games))
         fit = fit_irls(data, opts)
+        return statistic(fit, data) if fit.converged else None
     except (FitError, ValueError):
-        return None, None
-    if not fit.converged:
-        return None, None
-    return fit, data
+        return None
 
 
-def _bootstrap_fits(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
-                    jobs: int = 1):
-    """Yield (fit-or-None, data-or-None) per draw, in draw order.
+def _draws(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
+           jobs: int, statistic) -> tuple[list, int]:
+    """Successful draws' statistics in draw order, and the failure count.
 
     Draws use independent derived seeds, so running them on ``jobs``
-    workers cannot change the results.
+    workers cannot change the results.  More than 20% failures raises
+    :class:`BootstrapError`.
     """
-    draw = partial(_run_draw, d, opts, min_games, seed)
-    if jobs <= 1:
-        yield from map(draw, range(B))
-        return
+    draw = partial(_run_draw, d, opts, min_games, seed, statistic)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(draw, range(B))
-
-
-def _check_failures(failed: int, B: int) -> None:
+        draws = [stat for stat in pool.map(draw, range(B)) if stat is not None]
+    failed = B - len(draws)
     if failed > MAX_FAILURE_FRACTION * B:
         raise BootstrapError(
             f"{failed} of {B} bootstrap draws failed to converge "
             f"(> {MAX_FAILURE_FRACTION:.0%}); data too unstable for inference"
         )
+    return draws, failed
 
 
 def bootstrap_balance(
@@ -133,14 +129,8 @@ def bootstrap_balance(
     """
     if B < 1:
         raise ValueError(f"draw count must be >= 1, got {B}")
-    draws: list[dict[tuple[str, str], float]] = []
-    failed = 0
-    for fit, _data in _bootstrap_fits(d, B, opts, min_games, seed, jobs):
-        if fit is None:
-            failed += 1
-            continue
-        draws.append(aggregate_balance(fit).per_pair)
-    _check_failures(failed, B)
+    draws, failed = _draws(d, B, opts, min_games, seed, jobs,
+                           lambda fit, data: aggregate_balance(fit).per_pair)
 
     by_pair = {
         pair: np.array([draw[pair] for draw in draws]) for pair in CANONICAL_PAIRS
@@ -171,17 +161,8 @@ def bootstrap_dispersion(
     """Bootstrap distribution of the quasi-binomial dispersion estimate."""
     if B < 2:
         raise ValueError(f"draw count must be >= 2, got {B}")
-    draws: list[float] = []
-    failed = 0
-    for fit, data in _bootstrap_fits(d, B, opts, min_games, seed, jobs):
-        if fit is None:
-            failed += 1
-            continue
-        try:
-            draws.append(pearson_dispersion(fit, data).phi)
-        except ValueError:
-            failed += 1
-    _check_failures(failed, B)
+    draws, failed = _draws(d, B, opts, min_games, seed, jobs,
+                           lambda fit, data: pearson_dispersion(fit, data).phi)
 
     values = np.array(draws)
     mean = float(values.mean()) if draws else None

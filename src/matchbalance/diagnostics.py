@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .design import EncodedDataset, _check, _encode, build_parameter_index
-from .glm import FitOptions, FitResult, _accuracy, chi_square_sf, fit_irls
+from .glm import FitOptions, FitResult, _accuracy, _cv_folds, chi_square_sf, fit_irls
 
 
 @dataclass
@@ -141,20 +141,17 @@ def k_fold_cv(
     index, so players or maps unseen in training contribute 0 at
     prediction time, mirroring the anchoring policy.
     """
-    if k < 2:
-        raise ValueError(f"fold count must be >= 2, got {k}")
+    folds = _cv_folds(len(d), k, seed)
     if len(d) < k:
         raise ValueError(f"need at least {k} records for {k}-fold CV")
     _check(d)  # race tags, once: every fold is a row take of d
-    rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(len(d)), k)
 
     per_fold: list[tuple[float, float]] = []
-    for fold in folds:
-        train = d._take(np.delete(np.arange(len(d)), fold))
+    for train_rows, test_rows in folds:
+        train = d._take(train_rows)
         idx = build_parameter_index(train, min_games)
         train_data = _encode(train, idx)
-        test_data = _encode(d._take(np.sort(fold)), idx)
+        test_data = _encode(d._take(test_rows), idx)
         beta = fit_irls(train_data, opts).coefficients
         per_fold.append((_accuracy(beta, train_data, opts.eta_cap),
                          _accuracy(beta, test_data, opts.eta_cap)))

@@ -12,8 +12,10 @@ reported as having no data rather than dropped from the index).
 
 When the active design is rank-deficient, which the fit tests once
 from the design's structure (``design._nullity``), every Newton system
-gains ``LAST_RESORT_RIDGE`` on its diagonal; the ridge then picks the
-unidentified directions, and the fit reports ``stabilized``.
+has its diagonal scaled by ``1 + LAST_RESORT_RIDGE``.  This ridge is
+relative to the Jacobi diagonal, so it stays small beside weights
+capped near zero.  It picks the unidentified directions, and the fit's
+``stabilized`` flag reports exactly this rank deficiency.
 
 Linear predictors are capped at ``eta_cap`` when computing weights and
 fitted probabilities, which keeps the weighted normal equations finite
@@ -103,9 +105,9 @@ class FitResult:
     Anchored players own no column, so their coefficients are
     implicitly zero.  ``no_data_columns`` lists matchup columns that
     had no observations and were frozen at zero.  ``stabilized`` means
-    the Newton systems carried ``LAST_RESORT_RIDGE``: the active design
-    is rank-deficient, so the ridge chose the unidentified directions
-    (or, rarely, conjugate gradients failed without it).
+    the active design is structurally rank-deficient, so every Newton
+    system's diagonal was scaled by ``1 + LAST_RESORT_RIDGE`` and that
+    relative ridge chose the unidentified directions.
     """
 
     coefficients: np.ndarray
@@ -191,13 +193,12 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
         if iterations == 1:
             # every weight is 1/4 at beta = 0, so this X'WX is X'X / 4
             stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
-        solution, solved = _cg(hessian, g, LAST_RESORT_RIDGE if stabilized else 0.0)
-        if not solved and not stabilized:
-            stabilized = True
-            solution, solved = _cg(hessian, g, LAST_RESORT_RIDGE)
+        if stabilized:
+            hessian.setdiag(hessian.diagonal() * (1.0 + LAST_RESORT_RIDGE))
+        solution, solved = _cg(hessian, g)
         if not solved:
             raise FitError(
-                "conjugate gradients did not solve the Newton system even with the ridge",
+                "conjugate gradients did not solve the Newton system",
                 _make_result(beta, data, iterations, False, opts, stabilized,
                              no_data, path=path),
             )
@@ -229,15 +230,15 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
                         path=path)
 
 
-def _cg(matrix, rhs: np.ndarray, ridge: float) -> tuple[np.ndarray, bool]:
-    """Solve (matrix + ridge I) x = rhs by Jacobi-preconditioned conjugate gradients.
+def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve matrix x = rhs by Jacobi-preconditioned conjugate gradients.
 
     Stops once the residual is within ``_CG_TOLERANCE`` of |rhs|, or
     after ``_CG_ITERATIONS_PER_COLUMN`` iterations per unknown; returns
     the iterate and whether it met the bound.  ``matrix`` is symmetric
     positive semidefinite with a positive diagonal.
     """
-    inv_diag = 1.0 / (matrix.diagonal() + ridge)
+    inv_diag = 1.0 / matrix.diagonal()
     bound = _CG_TOLERANCE ** 2 * (rhs @ rhs)  # on the squared residual norm
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -248,8 +249,6 @@ def _cg(matrix, rhs: np.ndarray, ridge: float) -> tuple[np.ndarray, bool]:
     rz = r @ z
     for _ in range(_CG_ITERATIONS_PER_COLUMN * rhs.size):
         md = matrix @ d
-        if ridge:
-            md += ridge * d
         curvature = d @ md
         if not curvature > 0:
             break
@@ -377,6 +376,18 @@ def _accuracy(beta: np.ndarray, data: EncodedDataset, eta_cap: float) -> float:
     return float(np.mean(predicted == data.response))
 
 
+def _cv_folds(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded split of rows 0..n-1 into k near-equal random folds.
+
+    Returns (training rows, test rows) per fold, both in row order.
+    """
+    if k < 2:
+        raise ValueError(f"fold count must be >= 2, got {k}")
+    rows = np.arange(n)
+    return [(np.delete(rows, fold), np.sort(fold))
+            for fold in np.array_split(np.random.default_rng(seed).permutation(n), k)]
+
+
 def select_lambda_cv(
     data: EncodedDataset,
     k: int,
@@ -388,18 +399,15 @@ def select_lambda_cv(
 
     Ties go to the larger penalty.  Deterministic given ``seed``.
     """
-    if k < 2:
-        raise ValueError(f"fold count must be >= 2, got {k}")
+    folds = _cv_folds(data.n, k, seed)
     grid = np.sort(np.asarray(list(grid), dtype=float))[::-1]
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
-    rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(data.n), k)
 
     acc = np.zeros((grid.size, k))
-    for fi, fold in enumerate(folds):
-        train = data.subset(np.delete(np.arange(data.n), fold))
-        test = data.subset(fold)
+    for fi, (train_rows, test_rows) in enumerate(folds):
+        train = data.subset(train_rows)
+        test = data.subset(test_rows)
         warm = None
         for li, lam in enumerate(grid):
             fit = fit_lasso(train, replace(opts, l1_lambda=float(lam)),
