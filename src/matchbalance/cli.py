@@ -82,6 +82,15 @@ def _load_dataset(path: str):
         return filter_valid(parse_matches(fh))
 
 
+def _load_fit(path: str):
+    """The fit artifact at ``path`` and the fit it holds; a ValueError names the file."""
+    obj = load_json(path)
+    try:
+        return obj, fit_from_obj(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a fit artifact: {exc}") from None
+
+
 def _fit_options(args, l1: float = 0.0) -> FitOptions:
     return FitOptions(
         max_iterations=args.max_iter,
@@ -277,7 +286,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    fit = fit_from_obj(load_json(args.fit))
+    _, fit = _load_fit(args.fit)
     detail = predict_detail(fit, args.player1, args.player2,
                             args.race1, args.race2, args.map)
     print(dumps(detail))
@@ -313,7 +322,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    fit = fit_from_obj(load_json(args.fit))
+    _, fit = _load_fit(args.fit)
     ranking = rank_players(fit)
     anchored = fit.index.anchored_players
     ranked = [(p, v) for p, v in ranking if p not in anchored]
@@ -333,7 +342,7 @@ def cmd_report(args) -> int:
         return load_json(path) if path else None
 
     text = build_report(
-        load_json(args.fit),
+        _load_fit(args.fit)[0],
         lrt=maybe(args.lrt),
         hl=maybe(args.hl),
         dispersion=maybe(args.dispersion),
@@ -469,3 +478,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

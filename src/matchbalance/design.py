@@ -71,7 +71,8 @@ class ParameterIndex:
 
     Player columns come first (non-anchored players, sorted by id),
     followed by 3 matchup columns per map (maps sorted, pairs in
-    canonical order), so columns form the gapless range [0, p).
+    canonical order), so columns form the gapless range [0, p).  Both
+    column dicts hold their keys in column order (``_layout``).
     """
 
     player_columns: dict[str, int]
@@ -121,22 +122,24 @@ def build_parameter_index(
         anchored[fewest[np.bincount(component, weights=anchored) == 0]] = True
 
     names = np.array(d._players, dtype=object)[live]
-    player_columns = {p: i for i, p in enumerate(names[~anchored].tolist())}
-    maps = tuple(d._maps[m] for m in np.unique(d._rows[:, 4]).tolist())
     groups = np.split(names[np.argsort(component, kind="stable")], np.cumsum(sizes)[:-1])
-    base = len(player_columns)
-    matchup_columns = {
-        (m, pair): base + 3 * mi + _PAIR_POSITION[pair]
-        for mi, m in enumerate(maps)
-        for pair in CANONICAL_PAIRS
-    }
+    return _layout(names[~anchored].tolist(), names[anchored].tolist(),
+                   [d._maps[m] for m in np.unique(d._rows[:, 4]).tolist()],
+                   sorted(groups, key=min))
+
+
+def _layout(players, anchored_players, maps, components) -> ParameterIndex:
+    """The index whose columns are ``players`` in the order given, then 3
+    per map, maps in the order given and pairs in canonical order."""
+    base = len(players)
     return ParameterIndex(
-        player_columns=player_columns,
-        anchored_players=frozenset(names[anchored].tolist()),
-        matchup_columns=matchup_columns,
-        maps=maps,
+        player_columns={p: i for i, p in enumerate(players)},
+        anchored_players=frozenset(anchored_players),
+        matchup_columns={(m, pair): base + 3 * mi + _PAIR_POSITION[pair]
+                         for mi, m in enumerate(maps) for pair in CANONICAL_PAIRS},
+        maps=tuple(maps),
         p=base + 3 * len(maps),
-        components=tuple(sorted(map(frozenset, groups), key=min)),
+        components=tuple(map(frozenset, components)),
     )
 
 
@@ -298,34 +301,3 @@ def _nullity(X: scipy.sparse.csr_array, Xt: scipy.sparse.csr_array, players: int
     rank = np.count_nonzero(eigenvalues > eigenvalues.max(initial=0.0) * k * np.finfo(float).eps)
     ungrounded = len(roots) - np.count_nonzero(grounded[roots])
     return int(ungrounded + k - rank)
-
-
-def index_to_obj(idx: ParameterIndex) -> dict:
-    """JSON-ready representation (column <-> symbol table)."""
-    return {
-        "p": idx.p,
-        "player_columns": dict(sorted(idx.player_columns.items())),
-        "anchored_players": sorted(idx.anchored_players),
-        "maps": list(idx.maps),
-        "canonical_pairs": [list(pair) for pair in CANONICAL_PAIRS],
-        "matchup_columns": [
-            {"map": m, "race1": pair[0], "race2": pair[1], "column": col}
-            for (m, pair), col in sorted(idx.matchup_columns.items(), key=lambda kv: kv[1])
-        ],
-        "components": [sorted(c) for c in idx.components],
-    }
-
-
-def index_from_obj(obj: dict) -> ParameterIndex:
-    matchup_columns = {
-        (mc["map"], (mc["race1"], mc["race2"])): mc["column"]
-        for mc in obj["matchup_columns"]
-    }
-    return ParameterIndex(
-        player_columns={k: int(v) for k, v in obj["player_columns"].items()},
-        anchored_players=frozenset(obj["anchored_players"]),
-        matchup_columns=matchup_columns,
-        maps=tuple(obj["maps"]),
-        p=int(obj["p"]),
-        components=tuple(frozenset(c) for c in obj["components"]),
-    )

@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.special
 
-from .design import (EncodedDataset, ParameterIndex, _nullity, index_from_obj,
-                     index_to_obj)
+from .design import EncodedDataset, ParameterIndex, _layout, _nullity
 
 LAST_RESORT_RIDGE = 1e-10
 MAX_STEP_HALVINGS = 30
@@ -200,7 +199,7 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
             raise FitError(
                 "conjugate gradients did not solve the Newton system",
                 _make_result(beta, data, iterations, False, opts, stabilized,
-                             no_data, path=path),
+                             no_data, deviance, path=path),
             )
         direction = np.zeros(data.p)
         direction[active] = solution
@@ -227,7 +226,7 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
             break
 
     return _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
-                        path=path)
+                        deviance, path=path)
 
 
 def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -265,12 +264,12 @@ def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
-                 l1_lambda: float = 0.0, path=()) -> FitResult:
-    ll = log_likelihood(beta, data)
+                 deviance: float, l1_lambda: float = 0.0, path=()) -> FitResult:
+    """``deviance`` is that of ``beta`` on ``data``, as the fitter last computed it."""
     return FitResult(
         coefficients=beta,
-        log_likelihood=ll,
-        deviance=-2.0 * ll,
+        log_likelihood=-deviance / 2.0,
+        deviance=deviance,
         iterations=iterations,
         converged=converged,
         l1_lambda=l1_lambda,
@@ -350,8 +349,9 @@ def fit_lasso(
             converged = True
             break
 
+    deviance = 2.0 * _log_loss(data.linear_predictor(beta), _flip(data))
     return _make_result(beta, data, iterations, converged, opts, False, no_data,
-                        l1_lambda=lam)
+                        deviance, l1_lambda=lam)
 
 
 def lambda_max(data: EncodedDataset) -> float:
@@ -432,13 +432,16 @@ def chi_square_sf(x: float, df: int) -> float:
 
 
 def fit_to_obj(fit: FitResult) -> dict:
-    """JSON-ready representation: symbol -> estimate plus fit metadata."""
+    """JSON-ready representation: symbol -> estimate plus fit metadata.
+
+    Players and matchups come in column order, so ``fit_from_obj``
+    rebuilds the index from them, the anchors and the components."""
     idx = fit.index
     no_data = set(fit.no_data_columns)
     return {
         "players": [
             {"player": player, "estimate": float(fit.coefficients[col])}
-            for player, col in sorted(idx.player_columns.items())
+            for player, col in idx.player_columns.items()
         ],
         "anchored_players": sorted(idx.anchored_players),
         "matchups": [
@@ -449,8 +452,7 @@ def fit_to_obj(fit: FitResult) -> dict:
                 "estimate": float(fit.coefficients[col]),
                 "observed": col not in no_data,
             }
-            for (m, pair), col in sorted(idx.matchup_columns.items(),
-                                         key=lambda kv: kv[1])
+            for (m, pair), col in idx.matchup_columns.items()
         ],
         "fit": {
             "log_likelihood": fit.log_likelihood,
@@ -463,31 +465,58 @@ def fit_to_obj(fit: FitResult) -> dict:
             "p": idx.p,
             "p_effective": fit.p_effective,
         },
-        "index": index_to_obj(idx),
+        "components": [sorted(c) for c in idx.components],
     }
 
 
-def fit_from_obj(obj: dict) -> FitResult:
-    idx = index_from_obj(obj["index"])
-    beta = np.zeros(idx.p)
-    for entry in obj["players"]:
-        beta[idx.player_columns[entry["player"]]] = entry["estimate"]
-    no_data = []
-    for entry in obj["matchups"]:
-        col = idx.matchup_column(entry["map"], (entry["race1"], entry["race2"]))
-        beta[col] = entry["estimate"]
-        if not entry["observed"]:
-            no_data.append(col)
-    meta = obj["fit"]
-    return FitResult(
-        coefficients=beta,
-        log_likelihood=meta["log_likelihood"],
-        deviance=meta["deviance"],
-        iterations=meta["iterations"],
-        converged=meta["converged"],
-        l1_lambda=meta["l1_lambda"],
+def _field(obj, key: str, kind=(int, float)):
+    """``obj[key]``, which must exist and be a ``kind`` (by default a number);
+    a ValueError names the key otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"key {key!r} holds a {type(value).__name__}")
+    return value
+
+
+def _names(values, key: str) -> list[str]:
+    if isinstance(values, list) and all(isinstance(v, str) for v in values):
+        return values
+    raise ValueError(f"key {key!r} holds something other than a list of names")
+
+
+def fit_from_obj(obj) -> FitResult:
+    """Rebuild the fit ``fit_to_obj`` represented, index included.
+
+    Raises ValueError naming the first missing or mistyped key, or
+    saying that the players and matchups are not in column layout.
+    """
+    players = _field(obj, "players", list)
+    matchups = _field(obj, "matchups", list)
+    meta = _field(obj, "fit", dict)
+    idx = _layout([_field(e, "player", str) for e in players],
+                  _names(_field(obj, "anchored_players", list), "anchored_players"),
+                  [_field(e, "map", str) for e in matchups[::3]],
+                  [_names(c, "components") for c in _field(obj, "components", list)])
+    layout = [(_field(e, "map", str), (_field(e, "race1", str), _field(e, "race2", str)))
+              for e in matchups]
+    if len(idx.player_columns) != len(players) or layout != list(idx.matchup_columns):
+        raise ValueError("players and matchups are not in column layout")
+    fit = FitResult(
+        coefficients=np.array([_field(e, "estimate") for e in players + matchups], float),
+        log_likelihood=_field(meta, "log_likelihood"),
+        deviance=_field(meta, "deviance"),
+        iterations=_field(meta, "iterations", int),
+        converged=_field(meta, "converged", bool),
+        l1_lambda=_field(meta, "l1_lambda"),
         index=idx,
-        stabilized=meta["stabilized"],
-        eta_cap=meta["eta_cap"],
-        no_data_columns=tuple(sorted(no_data)),
+        stabilized=_field(meta, "stabilized", bool),
+        eta_cap=_field(meta, "eta_cap"),
+        no_data_columns=tuple(len(players) + i for i, e in enumerate(matchups)
+                              if not _field(e, "observed", bool)),
     )
+    for key, value in (("p", idx.p), ("p_effective", fit.p_effective)):
+        if _field(meta, key, int) != value:
+            raise ValueError(f"key {key!r} is {meta[key]}, but the columns give {value}")
+    return fit

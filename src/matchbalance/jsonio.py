@@ -1,7 +1,10 @@
 """Deterministic JSON and CSV writing.
 
-Floats are rendered with 17 significant digits so artifacts round-trip
-exactly and identical runs produce byte-identical files.
+The standard library's encoder writes the JSON, indented, keys in the
+order given.  Floats are written as their shortest round-trip text
+(``repr``), so artifacts load back to the same floats, an integral
+float stays a float (``30.0``), and identical runs produce
+byte-identical files.  Non-finite floats are rejected.
 """
 
 from __future__ import annotations
@@ -12,40 +15,14 @@ from pathlib import Path
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} cannot be serialized")
-    return format(x, ".17g")
+    return repr(float(x))
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Serialize to JSON with fixed float formatting and key order as given."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{dumps(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def dumps(obj) -> str:
+    """Serialize to indented JSON with key order as given."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -19,7 +19,8 @@ def predict_detail(
     Anchored players contribute 0 by construction; players absent from
     the fit entirely also contribute 0 but are reported in
     ``unknown_inputs`` so callers can tell an informed prediction from
-    a 50-50-by-ignorance one.  The map must be known to the fit.
+    a 50-50-by-ignorance one.  For a cross-race game the map must be
+    known to the fit.
     """
     if player1 == player2:
         raise ValueError(f"player1 and player2 are both {player1!r}")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,13 +67,47 @@ def test_out_of_range_flags_exit_1(argv, flag, league_csv, tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
-def test_data_errors_exit_2(tmp_path, capsys):
+def test_data_errors_exit_2(tmp_path, capsys, league_csv):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n", encoding="utf-8")
     assert run("fit", "--input", bad, "--out", tmp_path / "x.json") == 2
     assert run("fit", "--input", tmp_path / "missing.csv",
                "--out", tmp_path / "x.json") == 2
     assert "error" in capsys.readouterr().err
+
+    assert run("fit", "--input", league_csv, "--out", tmp_path / "fit.json") == 0
+    good = load_json(tmp_path / "fit.json")
+    # the layout before components left the index block, which copied the columns
+    legacy = {k: v for k, v in good.items() if k != "components"}
+    legacy["index"] = {"p": good["fit"]["p"], "components": good["components"]}
+    mistyped = json.loads(json.dumps(good))
+    mistyped["players"][0]["estimate"] = "0.5"
+    bad_fits = {"missing_key": {k: v for k, v in good.items() if k != "fit"},
+                "wrong_shape": [1, 2], "legacy": legacy, "mistyped": mistyped}
+    player = good["players"][0]["player"]
+    readers = [("rank", "--out", tmp_path / "rank.json"),
+               ("report", "--out", tmp_path / "report.txt"),
+               ("predict", "--player1", player, "--race1", "Zerg", "--player2", "nobody",
+                "--race2", "Zerg", "--map", "map_00")]
+    capsys.readouterr()
+    for name, obj in bad_fits.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for argv in readers:
+            assert run(*argv, "--fit", path) == 2
+            assert f"error: {path}: not a fit artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["matchbalance", "matchbalance.cli"])
+def test_module_entry_points_run_the_cli(module, tmp_path):
+    src = Path(mb.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "fit", "--input", tmp_path / "missing.csv",
+         "--out", tmp_path / "x.json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 2
+    assert "error:" in result.stderr and "missing.csv" in result.stderr
 
 
 def test_simulate_then_fit_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import matchbalance as mb
 from matchbalance import design, diagnostics
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import index_from_obj, index_to_obj
+from matchbalance.glm import fit_from_obj, fit_to_obj
+from matchbalance.jsonio import dumps
 from helpers import simple_league
 from oracles import encode_row
 
@@ -207,4 +209,7 @@ def test_all_zero_row_for_anchored_same_race_game():
 def test_index_json_round_trip():
     _, d = simple_league(17, n=200)
     idx = mb.build_parameter_index(d, min_games=6)
-    assert index_from_obj(index_to_obj(idx)) == idx
+    fit = mb.fit_irls(mb.build_design(d, idx))
+    back = fit_from_obj(json.loads(dumps(fit_to_obj(fit))))
+    assert back.index == idx
+    assert back.coefficients.tobytes() == fit.coefficients.tobytes()

@@ -7,9 +7,11 @@ and encode exactly as the record-by-record oracle does, and filtering,
 summaries, id sets, records and equality of the columns agree with
 record loops.  The design's structural nullity equals its dense rank
 deficiency, and the fit keeps swap symmetry of the fitted
-probabilities and record-order invariance of the coefficients.
+probabilities and record-order invariance of the coefficients.  A fit
+survives its JSON artifact bit for bit.
 """
 import datetime as dt
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,8 @@ from hypothesis import strategies as st
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.design import _encode, _nullity
+from matchbalance.glm import fit_from_obj, fit_to_obj
+from matchbalance.jsonio import dumps
 from oracles import (
     dense_newton_fit,
     describe_records,
@@ -72,6 +76,15 @@ def contested(draw):
                             max_size=40))
     return Dataset.from_records([replace(r, winner=w) for r in base for w in (0, 1)]
                                 + [replace(base[i], winner=w) for i, w in repeats])
+
+
+@st.composite
+def leagues(draw):
+    """Games in up to three leagues with no player in common, so the
+    opponent graph has several components."""
+    games = draw(st.lists(st.tuples(records(), st.integers(0, 2)), min_size=1, max_size=40))
+    return Dataset.from_records(replace(r, player1=f"{g}{r.player1}", player2=f"{g}{r.player2}")
+                                for r, g in games)
 
 
 def swap(r):
@@ -228,3 +241,20 @@ def test_fit_keeps_record_order_invariance(d, m, rnd):
     if not fit.stabilized:
         # unidentified directions are the ridge's arbitrary choice; the rest must not move
         assert np.max(np.abs(fit.coefficients - fit_permuted.coefficients), initial=0) <= 1e-6
+
+
+@encoder_settings
+@given(leagues(), min_games, st.booleans())
+def test_fit_survives_its_json_artifact(d, m, identifiable):
+    # without ensure_identifiable a component may keep no anchor: a stabilized fit
+    idx = mb.build_parameter_index(d, m, ensure_identifiable=identifiable)
+    fit = mb.fit_irls(mb.build_design(d, idx))
+    obj = json.loads(dumps(fit_to_obj(fit)))
+    back = fit_from_obj(obj)
+    assert back.index == idx
+    assert back.coefficients.tobytes() == fit.coefficients.tobytes()
+    assert (back.converged, back.stabilized, back.no_data_columns) == \
+        (fit.converged, fit.stabilized, fit.no_data_columns)
+    floats = [obj["fit"][key] for key in ("log_likelihood", "deviance", "eta_cap", "l1_lambda")]
+    floats += [e["estimate"] for e in obj["players"] + obj["matchups"]]
+    assert all(type(x) is float for x in floats)
