@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,9 @@ from .glm import (
     fit_to_obj,
     select_lambda_cv,
 )
-from .jsonio import dumps, load_json, write_csv, write_json
+from .jsonio import _check_shape, dumps, load_json, write_csv, write_json
 from .predict import predict_detail, rank_players
-from .report import build_report
+from .report import _ARTIFACT_SHAPES, build_report
 from .simulate import generate, random_league
 
 DEFAULT_SEED = 0
@@ -82,13 +83,14 @@ def _load_dataset(path: str):
         return filter_valid(parse_matches(fh))
 
 
-def _load_fit(path: str):
-    """The fit artifact at ``path`` and the fit it holds; a ValueError names the file."""
-    obj = load_json(path)
+def _load_artifact(path: str, kind: str, check):
+    """The ``kind`` artifact at ``path`` and what ``check`` makes of it;
+    a ValueError names the file."""
     try:
-        return obj, fit_from_obj(obj)
+        obj = load_json(path)
+        return obj, check(obj)
     except ValueError as exc:
-        raise ValueError(f"{path}: not a fit artifact: {exc}") from None
+        raise ValueError(f"{path}: not a {kind} artifact: {exc}") from None
 
 
 def _fit_options(args, l1: float = 0.0) -> FitOptions:
@@ -286,7 +288,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _, fit = _load_fit(args.fit)
+    _, fit = _load_artifact(args.fit, "fit", fit_from_obj)
     detail = predict_detail(fit, args.player1, args.player2,
                             args.race1, args.race2, args.map)
     print(dumps(detail))
@@ -322,7 +324,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _, fit = _load_fit(args.fit)
+    _, fit = _load_artifact(args.fit, "fit", fit_from_obj)
     ranking = rank_players(fit)
     anchored = fit.index.anchored_players
     ranked = [(p, v) for p, v in ranking if p not in anchored]
@@ -338,18 +340,14 @@ def cmd_rank(args) -> int:
 
 
 def cmd_report(args) -> int:
-    def maybe(path):
-        return load_json(path) if path else None
+    def maybe(kind):
+        path = getattr(args, kind)
+        check = partial(_check_shape, shape=_ARTIFACT_SHAPES[kind])
+        return _load_artifact(path, kind, check)[0] if path else None
 
     text = build_report(
-        _load_fit(args.fit)[0],
-        lrt=maybe(args.lrt),
-        hl=maybe(args.hl),
-        dispersion=maybe(args.dispersion),
-        cv=maybe(args.cv),
-        balance=maybe(args.balance),
-        boot_dispersion=maybe(args.boot_dispersion),
-        rank=maybe(args.rank),
+        _load_artifact(args.fit, "fit", fit_from_obj)[0],
+        **{kind: maybe(kind) for kind in _ARTIFACT_SHAPES},
         residuals_path=args.residuals,
     )
     Path(args.out).write_text(text + "\n", encoding="utf-8")

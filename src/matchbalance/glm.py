@@ -4,18 +4,19 @@ The unpenalized path is Newton-Raphson with step halving on the
 deviance.  Each Newton direction solves the sparse weighted normal
 equations X'WX d = X'(y - pi) by Jacobi-preconditioned conjugate
 gradients, so the fit never forms a dense p x p matrix and its memory
-grows with the number of games.  The L1 path runs cyclic coordinate
-descent with soft thresholding inside each reweighting, so
+grows with the number of games.  The L1 fit runs the same loop as
+proximal Newton: soft-thresholded steps solve each direction, so
 exactly-zero coefficients are representable.  Matchup columns with no
-observations are frozen at zero and excluded from the solve (they are
-reported as having no data rather than dropped from the index).
+observations are frozen at their start value and excluded from the
+solve (they are reported as having no data rather than dropped from
+the index).
 
-When the active design is rank-deficient, which the fit tests once
-from the design's structure (``design._nullity``), every Newton system
-has its diagonal scaled by ``1 + LAST_RESORT_RIDGE``.  This ridge is
-relative to the Jacobi diagonal, so it stays small beside weights
-capped near zero.  It picks the unidentified directions, and the fit's
-``stabilized`` flag reports exactly this rank deficiency.
+When the active design is rank-deficient, which the unpenalized fit
+tests once from the design's structure (``design._nullity``), every
+Newton system has its diagonal scaled by ``1 + LAST_RESORT_RIDGE``.
+This ridge is relative to the Jacobi diagonal, so it stays small beside
+weights capped near zero.  It picks the unidentified directions, and
+the fit's ``stabilized`` flag reports exactly this rank deficiency.
 
 Linear predictors are capped at ``eta_cap`` when computing weights and
 fitted probabilities, which keeps the weighted normal equations finite
@@ -31,11 +32,12 @@ import numpy as np
 import scipy.special
 
 from .design import EncodedDataset, ParameterIndex, _layout, _nullity
+from .jsonio import _NUMBER, _check_shape
 
 LAST_RESORT_RIDGE = 1e-10
 MAX_STEP_HALVINGS = 30
-_CG_TOLERANCE = 1e-10  # residual bound, relative to the right-hand side
-_CG_ITERATIONS_PER_COLUMN = 10
+_SOLVE_TOLERANCE = 1e-10  # CG: residual relative to |rhs|; prox: largest move
+_SOLVE_STEPS_PER_COLUMN = 10
 
 
 def sigmoid(eta):
@@ -159,9 +161,31 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     """
     if opts.l1_lambda != 0:
         raise ValueError("fit_irls is unpenalized; use fit_lasso for l1_lambda > 0")
+    return _newton(data, opts, np.zeros(data.p), penalized=False)
+
+
+def fit_lasso(data: EncodedDataset, opts: FitOptions, *,
+              warm_start: np.ndarray | None = None) -> FitResult:
+    """L1-penalized fit maximizing log_likelihood - lambda * sum|beta_j|.
+
+    Proximal Newton: ``_prox`` solves each direction on the quadratic
+    model, and the fit stops once no coefficient moves by
+    ``opts.tolerance``.  ``warm_start`` (copied) seeds the coefficients,
+    typically with the solution at a neighbouring penalty.  The index is
+    typically built without anchoring, since the penalty itself makes
+    the problem identifiable.
+    """
+    start = np.zeros(data.p) if warm_start is None else np.array(warm_start, dtype=float)
+    return _newton(data, opts, start, penalized=True)
+
+
+def _newton(data: EncodedDataset, opts: FitOptions, beta: np.ndarray,
+            penalized: bool) -> FitResult:
+    """Newton loop of both fits from ``beta``; step halving runs on
+    deviance + 2 lambda |beta|_1, which is the deviance for ``fit_irls``."""
     if data.n == 0:
         raise ValueError("cannot fit an empty dataset")
-
+    lam = float(opts.l1_lambda)
     counts = data.column_counts()
     active = np.flatnonzero(counts > 0)
     no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
@@ -173,12 +197,12 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     weighted = X_active.copy()
     row_nnz = np.diff(X_active.indptr)
 
-    beta = np.zeros(data.p)
     eta = data.linear_predictor(beta)
     deviance = 2.0 * _log_loss(eta, flip)
+    objective = deviance + 2.0 * lam * float(np.abs(beta).sum())
     path = [deviance]
-    stabilized = False
-    converged = False
+    stabilized = converged = False
+    solved = True
     iterations = 0
 
     for iterations in range(1, opts.max_iterations + 1):
@@ -189,56 +213,70 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
                     out=weighted.data)
         g = -(X_active_t @ (flip * miss))
         hessian = X_active_t @ weighted
-        if iterations == 1:
-            # every weight is 1/4 at beta = 0, so this X'WX is X'X / 4
-            stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
-        if stabilized:
-            hessian.setdiag(hessian.diagonal() * (1.0 + LAST_RESORT_RIDGE))
-        solution, solved = _cg(hessian, g)
-        if not solved:
-            raise FitError(
-                "conjugate gradients did not solve the Newton system",
-                _make_result(beta, data, iterations, False, opts, stabilized,
-                             no_data, deviance, path=path),
-            )
+        if penalized:
+            solution = _prox(hessian, g, beta[active], lam)
+        else:
+            if iterations == 1:
+                # every weight is 1/4 at beta = 0, so this X'WX is X'X / 4
+                stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
+            if stabilized:
+                hessian.setdiag(hessian.diagonal() * (1.0 + LAST_RESORT_RIDGE))
+            solution, solved = _cg(hessian, g)
+            if not solved:
+                break
         direction = np.zeros(data.p)
         direction[active] = solution
 
         step = 1.0
-        accepted = False
         for _ in range(MAX_STEP_HALVINGS + 1):
             candidate = beta + step * direction
             candidate_eta = data.linear_predictor(candidate)
             candidate_dev = 2.0 * _log_loss(candidate_eta, flip)
-            if candidate_dev <= deviance:
-                accepted = True
+            candidate_obj = candidate_dev + 2.0 * lam * float(np.abs(candidate).sum())
+            if candidate_obj <= objective:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True  # no descent available at float precision
             break
 
-        rel_change = abs(deviance - candidate_dev) / max(deviance, 1e-10)
-        beta, eta, deviance = candidate, candidate_eta, candidate_dev
+        change = (float(np.abs(candidate - beta).max(initial=0.0)) if penalized
+                  else abs(objective - candidate_obj) / max(objective, 1e-10))
+        beta, eta = candidate, candidate_eta
+        deviance, objective = candidate_dev, candidate_obj
         path.append(deviance)
-        if rel_change < opts.tolerance:
+        if change < opts.tolerance:
             converged = True
             break
 
-    return _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
-                        deviance, path=path)
+    result = FitResult(
+        coefficients=beta,
+        log_likelihood=-deviance / 2.0,
+        deviance=deviance,
+        iterations=iterations,
+        converged=converged,
+        l1_lambda=lam,
+        index=data.index,
+        stabilized=stabilized,
+        eta_cap=opts.eta_cap,
+        no_data_columns=no_data,
+        deviance_path=tuple(path),
+    )
+    if not solved:
+        raise FitError("conjugate gradients did not solve the Newton system", result)
+    return result
 
 
 def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve matrix x = rhs by Jacobi-preconditioned conjugate gradients.
 
-    Stops once the residual is within ``_CG_TOLERANCE`` of |rhs|, or
-    after ``_CG_ITERATIONS_PER_COLUMN`` iterations per unknown; returns
+    Stops once the residual is within ``_SOLVE_TOLERANCE`` of |rhs|, or
+    after ``_SOLVE_STEPS_PER_COLUMN`` iterations per unknown; returns
     the iterate and whether it met the bound.  ``matrix`` is symmetric
     positive semidefinite with a positive diagonal.
     """
     inv_diag = 1.0 / matrix.diagonal()
-    bound = _CG_TOLERANCE ** 2 * (rhs @ rhs)  # on the squared residual norm
+    bound = _SOLVE_TOLERANCE ** 2 * (rhs @ rhs)  # on the squared residual norm
     x = np.zeros_like(rhs)
     r = rhs.copy()
     if r @ r <= bound:
@@ -246,7 +284,7 @@ def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     z = inv_diag * r
     d = z.copy()
     rz = r @ z
-    for _ in range(_CG_ITERATIONS_PER_COLUMN * rhs.size):
+    for _ in range(_SOLVE_STEPS_PER_COLUMN * rhs.size):
         md = matrix @ d
         curvature = d @ md
         if not curvature > 0:
@@ -263,95 +301,31 @@ def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def _make_result(beta, data, iterations, converged, opts, stabilized, no_data,
-                 deviance: float, l1_lambda: float = 0.0, path=()) -> FitResult:
-    """``deviance`` is that of ``beta`` on ``data``, as the fitter last computed it."""
-    return FitResult(
-        coefficients=beta,
-        log_likelihood=-deviance / 2.0,
-        deviance=deviance,
-        iterations=iterations,
-        converged=converged,
-        l1_lambda=l1_lambda,
-        index=data.index,
-        stabilized=stabilized,
-        eta_cap=opts.eta_cap,
-        no_data_columns=no_data,
-        deviance_path=tuple(path),
-    )
+def _prox(hessian, g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """Proximal Newton step z - x: z minimizes (z-x)'H(z-x)/2 - g'(z-x) + lam |z|_1.
 
-
-def fit_lasso(
-    data: EncodedDataset,
-    opts: FitOptions,
-    *,
-    warm_start: np.ndarray | None = None,
-) -> FitResult:
-    """L1-penalized fit maximizing log_likelihood - lambda * sum|beta_j|.
-
-    Cyclic coordinate descent with soft thresholding runs on the
-    weighted quadratic approximation inside each reweighting, with
-    active-set sweeps between full passes.  ``warm_start`` seeds the
-    coefficients, typically with the solution at a neighbouring penalty.
-    The index is typically built without anchoring for this fit, since
-    the penalty itself makes the problem identifiable.
+    Soft-thresholded gradient steps (FISTA, with adaptive restart) scaled
+    by H's absolute row sums, a diagonal that majorizes H, so zeros are
+    exact.  Stops once no coordinate moves by more than ``_SOLVE_TOLERANCE``,
+    or after ``_SOLVE_STEPS_PER_COLUMN`` steps per unknown.
     """
-    if data.n == 0:
-        raise ValueError("cannot fit an empty dataset")
-    lam = opts.l1_lambda
-    by_column = data.X.tocsc()
-    # native-width row indices: the sweep below indexes with them column by column
-    rows_flat = by_column.indices.astype(np.intp)
-    signs_flat, bounds = by_column.data, by_column.indptr
-    counts = np.diff(bounds)
-    active_cols = np.flatnonzero(counts > 0)
-    no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
-    y = data.response.astype(float)
-    touched = data.X.multiply(data.X).T
-
-    beta = np.zeros(data.p) if warm_start is None else warm_start.copy()
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, opts.max_iterations + 1):
-        eta = data.linear_predictor(beta)
-        eta_c = np.clip(eta, -opts.eta_cap, opts.eta_cap)
-        pi = sigmoid(eta_c)
-        w = pi * (1.0 - pi)
-        # working residual of the weighted least-squares problem
-        resid = (y - pi) / w + (eta_c - eta)
-        col_w = touched @ w
-
-        def sweep(columns: np.ndarray) -> float:
-            max_delta = 0.0
-            for j in columns:
-                a = col_w[j]
-                if a <= 0.0:
-                    continue
-                sl = slice(bounds[j], bounds[j + 1])
-                rj, sj = rows_flat[sl], signs_flat[sl]
-                u = np.sum(w[rj] * sj * resid[rj]) + a * beta[j]
-                bj = math.copysign(max(abs(u) - lam, 0.0), u) / a
-                delta = bj - beta[j]
-                if delta != 0.0:
-                    beta[j] = bj
-                    resid[rj] -= sj * delta
-                    max_delta = max(max_delta, abs(delta))
-            return max_delta
-
-        outer_delta = sweep(active_cols)
-        for _ in range(1000):
-            nonzero = active_cols[beta[active_cols] != 0.0]
-            if sweep(nonzero) < 0.25 * opts.tolerance:
-                break
-        full_delta = sweep(active_cols)
-        if max(outer_delta, full_delta) < opts.tolerance:
-            converged = True
+    scale = 1.0 / np.asarray(abs(hessian).sum(axis=1)).ravel()
+    threshold = lam * scale
+    offset = hessian @ x + g  # the model's gradient at y is H y - offset
+    z = y = x
+    t = 1.0
+    for _ in range(_SOLVE_STEPS_PER_COLUMN * x.size):
+        u = y - scale * (hessian @ y - offset)
+        z_next = np.sign(u) * np.maximum(np.abs(u) - threshold, 0.0)
+        move = z_next - z
+        if (y - z_next) @ (move / scale) > 0:
+            t = 1.0  # momentum points uphill: restart
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = z_next + ((t - 1.0) / t_next) * move
+        z, t = z_next, t_next
+        if np.abs(move).max() <= _SOLVE_TOLERANCE:
             break
-
-    deviance = 2.0 * _log_loss(data.linear_predictor(beta), _flip(data))
-    return _make_result(beta, data, iterations, converged, opts, False, no_data,
-                        deviance, l1_lambda=lam)
+    return z - x
 
 
 def lambda_max(data: EncodedDataset) -> float:
@@ -379,10 +353,13 @@ def _accuracy(beta: np.ndarray, data: EncodedDataset, eta_cap: float) -> float:
 def _cv_folds(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded split of rows 0..n-1 into k near-equal random folds.
 
-    Returns (training rows, test rows) per fold, both in row order.
+    Returns (training rows, test rows) per fold, both in row order;
+    every test fold holds at least one row.
     """
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
+    if n < k:
+        raise ValueError(f"need at least {k} records for {k}-fold CV")
     rows = np.arange(n)
     return [(np.delete(rows, fold), np.sort(fold))
             for fold in np.array_split(np.random.default_rng(seed).permutation(n), k)]
@@ -469,21 +446,16 @@ def fit_to_obj(fit: FitResult) -> dict:
     }
 
 
-def _field(obj, key: str, kind=(int, float)):
-    """``obj[key]``, which must exist and be a ``kind`` (by default a number);
-    a ValueError names the key otherwise."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"key {key!r} holds a {type(value).__name__}")
-    return value
-
-
-def _names(values, key: str) -> list[str]:
-    if isinstance(values, list) and all(isinstance(v, str) for v in values):
-        return values
-    raise ValueError(f"key {key!r} holds something other than a list of names")
+_FIT_SHAPE = {  # what fit_from_obj reads, in the order it checks it
+    "players": [{"player": str, "estimate": _NUMBER}],
+    "matchups": [{"map": str, "race1": str, "race2": str, "estimate": _NUMBER,
+                  "observed": bool}],
+    "fit": {"log_likelihood": _NUMBER, "deviance": _NUMBER, "iterations": int,
+            "converged": bool, "stabilized": bool, "l1_lambda": _NUMBER,
+            "eta_cap": _NUMBER, "p": int, "p_effective": int},
+    "anchored_players": [str],
+    "components": [[str]],
+}
 
 
 def fit_from_obj(obj) -> FitResult:
@@ -492,31 +464,27 @@ def fit_from_obj(obj) -> FitResult:
     Raises ValueError naming the first missing or mistyped key, or
     saying that the players and matchups are not in column layout.
     """
-    players = _field(obj, "players", list)
-    matchups = _field(obj, "matchups", list)
-    meta = _field(obj, "fit", dict)
-    idx = _layout([_field(e, "player", str) for e in players],
-                  _names(_field(obj, "anchored_players", list), "anchored_players"),
-                  [_field(e, "map", str) for e in matchups[::3]],
-                  [_names(c, "components") for c in _field(obj, "components", list)])
-    layout = [(_field(e, "map", str), (_field(e, "race1", str), _field(e, "race2", str)))
-              for e in matchups]
+    _check_shape(obj, _FIT_SHAPE)
+    players, matchups, meta = obj["players"], obj["matchups"], obj["fit"]
+    idx = _layout([e["player"] for e in players], obj["anchored_players"],
+                  [e["map"] for e in matchups[::3]], obj["components"])
+    layout = [(e["map"], (e["race1"], e["race2"])) for e in matchups]
     if len(idx.player_columns) != len(players) or layout != list(idx.matchup_columns):
         raise ValueError("players and matchups are not in column layout")
     fit = FitResult(
-        coefficients=np.array([_field(e, "estimate") for e in players + matchups], float),
-        log_likelihood=_field(meta, "log_likelihood"),
-        deviance=_field(meta, "deviance"),
-        iterations=_field(meta, "iterations", int),
-        converged=_field(meta, "converged", bool),
-        l1_lambda=_field(meta, "l1_lambda"),
+        coefficients=np.array([e["estimate"] for e in players + matchups], float),
+        log_likelihood=meta["log_likelihood"],
+        deviance=meta["deviance"],
+        iterations=meta["iterations"],
+        converged=meta["converged"],
+        l1_lambda=meta["l1_lambda"],
         index=idx,
-        stabilized=_field(meta, "stabilized", bool),
-        eta_cap=_field(meta, "eta_cap"),
+        stabilized=meta["stabilized"],
+        eta_cap=meta["eta_cap"],
         no_data_columns=tuple(len(players) + i for i, e in enumerate(matchups)
-                              if not _field(e, "observed", bool)),
+                              if not e["observed"]),
     )
     for key, value in (("p", idx.p), ("p_effective", fit.p_effective)):
-        if _field(meta, key, int) != value:
+        if meta[key] != value:
             raise ValueError(f"key {key!r} is {meta[key]}, but the columns give {value}")
     return fit

@@ -8,9 +8,24 @@ regenerating it from the same artifacts is byte-identical.
 
 from __future__ import annotations
 
-from .jsonio import format_float
+from .jsonio import _NUMBER, format_float
 
 _RULE = "-" * 72
+_OR_NULL = (*_NUMBER, type(None))  # null when too few bootstrap draws succeeded
+# What build_report reads from each optional artifact (``jsonio._check_shape``).
+_ARTIFACT_SHAPES = {
+    "rank": {"ranked": [{"rank": int, "player": str, "estimate": _NUMBER}],
+             "anchored": [str]},
+    "lrt": dict.fromkeys(["statistic", "df", "p_value"], _NUMBER),
+    "hl": dict.fromkeys(["groups", "statistic", "df", "p_value"], _NUMBER),
+    "dispersion": dict.fromkeys(["phi", "n", "p_effective"], _NUMBER),
+    "cv": dict.fromkeys(["k", "train_mean", "train_sd", "test_mean", "test_sd", "seed"],
+                        _NUMBER),
+    "balance": {"pairs": [{"race1": str, "race2": str, "mean": _OR_NULL, "sd": _OR_NULL,
+                           "tail_prob": _OR_NULL}],
+                "B": _NUMBER, "failed": _NUMBER, "seed": _NUMBER},
+    "boot_dispersion": {"mean": _OR_NULL, "sd": _OR_NULL, "B": _NUMBER},
+}
 
 
 def _fmt(value) -> str:

@@ -97,6 +97,35 @@ def test_data_errors_exit_2(tmp_path, capsys, league_csv):
             assert run(*argv, "--fit", path) == 2
             assert f"error: {path}: not a fit artifact" in capsys.readouterr().err
 
+    # the other artifacts report reads: exit 2 naming the file and the key
+    bad_sides = [("--rank", [1, 2], "missing key 'ranked'"),
+                 ("--lrt", [1, 2], "missing key 'statistic'"),
+                 ("--cv", {"ranked": []}, "missing key 'k'"),
+                 ("--balance", {"ranked": []}, "missing key 'pairs'"),
+                 ("--rank", {"ranked": [{"rank": 1, "player": "A"}], "anchored": []},
+                  "missing key 'estimate'"),
+                 ("--rank", {"ranked": [], "anchored": [3]},
+                  "key 'anchored' holds a int"),
+                 ("--hl", {"groups": 10, "statistic": "1.5", "df": 8, "p_value": 0.5},
+                  "key 'statistic' holds a str"),
+                 ("--boot-dispersion", {"mean": None, "sd": None}, "missing key 'B'")]
+    for flag, obj, message in bad_sides:
+        path = tmp_path / "side.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run("report", "--fit", tmp_path / "fit.json", flag, path,
+                   "--out", tmp_path / "report.txt") == 2
+        kind = flag[2:].replace("-", "_")
+        assert f"error: {path}: not a {kind} artifact: {message}" in capsys.readouterr().err
+
+    # more folds than records: lasso's penalty selection refuses, as cv does
+    rows = league_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("".join(rows[:6]), encoding="utf-8")
+    for command in ("cv", "lasso"):
+        assert run(command, "--input", tiny, "--folds", 10,
+                   "--out", tmp_path / "x.json") == 2
+        assert "need at least 10 records" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("module", ["matchbalance", "matchbalance.cli"])
 def test_module_entry_points_run_the_cli(module, tmp_path):
@@ -189,6 +218,18 @@ def test_cv_and_lasso_and_rank(league_csv, tmp_path):
     lasso = load_json(tmp_path / "lasso.json")
     assert lasso["fit"]["l1_lambda"] == 2.0
     assert lasso["anchored_players"] == []
+
+    # without --l1 the penalty is selected by CV over the default grid
+    args = ("lasso", "--input", league_csv, "--folds", 4, "--seed", 3)
+    assert run(*args, "--out", tmp_path / "cv_lasso.json") == 0
+    assert run(*args, "--out", tmp_path / "cv_lasso2.json") == 0
+    assert ((tmp_path / "cv_lasso.json").read_bytes()
+            == (tmp_path / "cv_lasso2.json").read_bytes())
+    with open(league_csv, encoding="utf-8") as fh:
+        d = mb.filter_valid(mb.parse_matches(fh))
+    idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
+    grid = mb.default_lambda_grid(mb.build_design(d, idx)).tolist()
+    assert load_json(tmp_path / "cv_lasso.json")["fit"]["selected_lambda"] in grid
 
     assert run("fit", "--input", league_csv, "--min-games", 4,
                "--out", tmp_path / "fit.json") == 0

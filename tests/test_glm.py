@@ -11,6 +11,7 @@ from matchbalance.glm import FitOptions
 from helpers import noise_league, pinned_small_league, simple_league
 from oracles import (
     brute_force_log_likelihood,
+    coordinate_descent_lasso,
     dense_newton_fit,
     encode_row,
     finite_diff_score,
@@ -300,6 +301,43 @@ def test_lasso_warm_start_converges_to_cold_start():
     assert np.max(np.abs(warm.coefficients - cold.coefficients)) < 1e-6
 
 
+def lasso_paths(data):
+    """Yield (lambda, fit_lasso's coefficients, the oracle's) down warm-started
+    paths over 8 penalties from lambda_max to 5% of it."""
+    fit_warm = oracle_warm = None
+    for lam in mb.default_lambda_grid(data, num=8, ratio=0.05):
+        opts = FitOptions(l1_lambda=float(lam), max_iterations=300)
+        fit = mb.fit_lasso(data, opts, warm_start=fit_warm)
+        oracle_warm, _, oracle_converged = coordinate_descent_lasso(data, opts, oracle_warm)
+        assert fit.converged and oracle_converged
+        fit_warm = fit.coefficients
+        yield float(lam), fit.coefficients, oracle_warm
+
+
+@pytest.mark.parametrize("seed", [91, 92])
+def test_lasso_path_matches_the_coordinate_descent_oracle(seed):
+    _, d = noise_league(seed)
+    idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
+    for _, beta, reference in lasso_paths(mb.build_design(d, idx)):
+        assert np.array_equal(np.sign(beta), np.sign(reference))  # zero set and signs
+        assert np.max(np.abs(beta - reference)) < 1e-6
+
+
+def test_lasso_path_objective_matches_the_oracle_where_the_optimum_is_not_unique():
+    # unanchored, the likelihood is flat along shifts of the player skills
+    # (and of one race's skills against its matchup columns); where the
+    # penalty is flat along such a shift too, the optimum is not unique and
+    # the two solvers may stop at different points of it (by 0.01 on this
+    # league's last two penalties), so only the penalized objective is compared
+    _, d = simple_league(42)
+    idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
+    data = mb.build_design(d, idx)
+    for lam, beta, reference in lasso_paths(data):
+        objective, best = (-mb.log_likelihood(b, data) + lam * np.abs(b).sum()
+                           for b in (beta, reference))
+        assert objective <= best + 1e-10 * abs(best)
+
+
 def test_lambda_max_kills_everything():
     _, d = simple_league(28, n=200)
     idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
@@ -349,6 +387,9 @@ def test_select_lambda_validation():
         mb.select_lambda_cv(data, 1, [0.1], seed=0)
     with pytest.raises(ValueError, match="nonempty"):
         mb.select_lambda_cv(data, 3, [], seed=0)
+    # more folds than rows would leave a fold without test rows
+    with pytest.raises(ValueError, match="need at least 10 records"):
+        mb.select_lambda_cv(data.subset(np.arange(6)), 10, [0.1], seed=0)
 
 
 def test_select_lambda_deterministic():
