@@ -411,7 +411,8 @@ def build_parser() -> _Parser:
     p.add_argument("-B", type=_at_least(1), default=1000, help="number of draws")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="worker cap for draws; never changes the results")
+                   help="cap on worker processes for draws, forked where the "
+                        "platform allows; never changes the results")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(fn=cmd_bootstrap)
 

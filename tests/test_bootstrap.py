@@ -1,11 +1,17 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matchbalance as mb
+from matchbalance import bootstrap as bt
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.glm import FitOptions
+from matchbalance.glm import FitError, FitOptions
 from helpers import casual_base_league, simple_league
 from oracles import resample_records
 
@@ -163,10 +169,73 @@ def test_bootstrap_dispersion_duplicated_rows_stay_near_one():
 
 def test_bootstrap_jobs_do_not_change_results():
     _, d = casual_base_league(91, n_pro_games=400, n_pros=8, casuals_per_race=6)
-    serial = mb.bootstrap_balance(d, B=16, min_games=6, seed=6)
-    threaded = mb.bootstrap_balance(d, B=16, min_games=6, seed=6, jobs=4)
-    assert serial.draws == threaded.draws
-    assert serial.tail_prob == threaded.tail_prob
+    for run in (mb.bootstrap_balance, mb.bootstrap_dispersion):
+        serial = run(d, B=16, min_games=6, seed=6)
+        pooled = run(d, B=16, min_games=6, seed=6, jobs=4)
+        assert serial == pooled
+        assert multiprocessing.active_children() == []
+
+
+def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
+    _, d = casual_base_league(87, n_pro_games=300, n_pros=8, casuals_per_race=4)
+    opts = FitOptions(max_iterations=1, tolerance=1e-16)
+    with pytest.raises(mb.BootstrapError, match=r"10 of 10 .*\(10 did not converge\)"):
+        mb.bootstrap_balance(d, B=10, opts=opts, min_games=6, seed=0)
+
+    calls = iter(range(10))
+    fit_irls = bt.fit_irls
+
+    def failing_fit(data, opts):
+        n = next(calls)
+        if n < 3:
+            raise FitError("planted")
+        if n < 5:
+            raise ValueError("planted")
+        return fit_irls(data, opts)
+
+    monkeypatch.setattr(bt, "fit_irls", failing_fit)
+    with pytest.raises(mb.BootstrapError,
+                       match=r"5 of 10 .*\(3 raised FitError, 2 raised ValueError\)"):
+        mb.bootstrap_balance(d, B=10, min_games=6, seed=0)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the planted draw reaches workers only by fork")
+def test_bootstrap_dead_worker_raises_bootstrap_error(monkeypatch):
+    _, d = casual_base_league(84, n_pro_games=400, n_pros=8, casuals_per_race=6)
+    monkeypatch.setattr(bt, "_run_draw", lambda *args: os._exit(9))
+    with pytest.raises(mb.BootstrapError, match="worker process died"):
+        mb.bootstrap_balance(d, B=4, min_games=6, seed=3, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the planted draw reaches workers only by fork")
+def test_bootstrap_error_paths_leave_no_worker(monkeypatch):
+    _, d = casual_base_league(87, n_pro_games=300, n_pros=8, casuals_per_race=4)
+    opts = FitOptions(max_iterations=1, tolerance=1e-16)
+    with pytest.raises(mb.BootstrapError, match="unstable"):
+        mb.bootstrap_dispersion(d, B=4, opts=opts, min_games=6, seed=0, jobs=2)
+    assert multiprocessing.active_children() == []
+
+    def raising_draw(*args):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(bt, "_run_draw", raising_draw)
+    with pytest.raises(ArithmeticError, match="planted"):
+        mb.bootstrap_balance(d, B=4, min_games=6, seed=0, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_import_starts_no_process_machinery():
+    src = Path(mb.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, matchbalance; print(sorted(m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures.process')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_bootstrap_draws_equal_the_record_pipeline():

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import matchbalance as mb
+from matchbalance import bootstrap as bt
 from matchbalance.cli import main
 from matchbalance.glm import fit_from_obj
 from matchbalance.jsonio import load_json
@@ -316,6 +318,16 @@ def test_report_requires_fit_and_marks_missing_sections(league_csv, tmp_path, ca
     assert out.read_bytes() == out2.read_bytes()
 
     assert run("report", "--fit", tmp_path / "nofit.json", "--out", out) == 2
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the planted draw reaches workers only by fork")
+def test_bootstrap_dead_worker_exits_2(league_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bt, "_run_draw", lambda *args: os._exit(9))
+    assert run("bootstrap", "balance", "--input", league_csv, "-B", 4, "--jobs", 2,
+               "--min-games", 4, "--out", tmp_path / "bb") == 2
+    assert "worker process died" in capsys.readouterr().err
+    assert not (tmp_path / "bb.json").exists()
 
 
 def test_full_pipeline_report_cross_matches(league_csv, tmp_path):
