@@ -79,7 +79,8 @@ def _fit_option(field: str):
 
 
 def _load_dataset(path: str):
-    with open(path, encoding="utf-8") as fh:
+    # newline="" keeps CR/LF inside quoted cells as written; utf-8-sig drops a BOM
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return filter_valid(parse_matches(fh))
 
 

@@ -7,9 +7,17 @@ where ``winner`` is 1 if player1 won, races are Terran/Protoss/Zerg
 dates are strictly ``YYYY-MM-DD`` and durations are integer seconds.
 
 A :class:`Dataset` stores the games as integer-coded columns.  Parsing,
-simulation and :meth:`Dataset.from_records` build it through one
-constructor; filtering, bootstrap draws and CV folds are row takes of
-it.  A :class:`MatchRecord` is a row view, built only when asked for.
+simulation and :meth:`Dataset.from_records` build it through one column
+coder, which gives names codes as they arrive and sorts each name table
+at the end; filtering, bootstrap draws and CV folds are row takes of it.
+A :class:`MatchRecord` is a row view, built only when asked for.
+
+:func:`parse_matches` reads the CSV a chunk of rows at a time.  Each
+chunk is transposed into columns; each distinct raw cell is stripped,
+checked and coded once, and the chunk's checks run as one fault mask
+per check before the next chunk is read.  So memory holds the coded
+columns and one chunk of text, never a tuple per row, and a
+:class:`ParseError` still names the line of the first faulty row.
 """
 
 from __future__ import annotations
@@ -18,11 +26,12 @@ import csv
 import datetime as dt
 import io
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterable, TextIO
+from itertools import chain, compress, islice, product
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -41,6 +50,8 @@ CSV_HEADER: tuple[str, ...] = (
 
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _MAX_DURATION = int(np.iinfo(np.int64).max)
+_CHUNK_ROWS = 4096  # rows read, checked and coded at a time
+_BLOCK_CHARS = 1 << 16  # characters of a text source read into one StringIO
 
 
 class ParseError(ValueError):
@@ -101,31 +112,29 @@ class Dataset:
     filter_log: tuple[tuple[MatchRecord, str], ...] = ()
 
     @classmethod
-    def _from_rows(cls, rows: list[tuple], filter_log: Iterable = ()) -> "Dataset":
-        """Code rows of (winner, player1, race1, player2, race2, map, date
-        ordinal, duration), the one way games become a Dataset."""
-        winner, p1, r1, p2, r2, maps, dates, durations = zip(*rows) if rows else [()] * 8
-        players = tuple(sorted(set(p1).union(p2)))
-        races = RACES + tuple(sorted(set(r1).union(r2) - set(RACES)))
-        map_table = tuple(sorted(set(maps)))
-        codes = np.empty((len(rows), 6), dtype=np.intp)
-        for j, (table, column) in enumerate(zip((players, players, races, races, map_table),
-                                                 (p1, p2, r1, r2, maps))):
-            code = dict(zip(table, range(len(table))))
-            codes[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
-        codes[:, 5] = winner
-        return cls(players, map_table, races, codes, np.array(dates, np.int64),
-                   np.array(durations, np.int64), tuple(filter_log))
-
-    @classmethod
     def from_records(
         cls,
         records: Iterable[MatchRecord],
         filter_log: Iterable[tuple[MatchRecord, str]] = (),
     ) -> "Dataset":
-        return cls._from_rows([(r.winner, r.player1, r.race1, r.player2, r.race2,
-                                r.map_name, r.date.toordinal(), r.duration)
-                               for r in records], filter_log)
+        records = tuple(records)
+        return cls._from_columns(
+            *([getattr(r, field) for r in records] for field in
+              ("player1", "player2", "race1", "race2", "map_name", "winner")),
+            [r.date.toordinal() for r in records], [r.duration for r in records],
+            filter_log=filter_log)
+
+    @classmethod
+    def _from_columns(cls, player1, player2, race1, race2, maps, winner, dates, durations,
+                      filter_log: Iterable = ()) -> "Dataset":
+        """Code whole columns of games: names, then winner, date ordinal and
+        duration as integers."""
+        coder = _Coder()
+        coder.append(coder.players.codes(player1), coder.players.codes(player2),
+                     coder.races.codes(race1), coder.races.codes(race2),
+                     coder.maps.codes(maps),
+                     *(np.array(c, np.int64) for c in (winner, dates, durations)))
+        return coder.dataset(filter_log)
 
     def _take(self, rows: np.ndarray, filter_log: Iterable = ()) -> "Dataset":
         """The games at ``rows`` (indices, which may repeat, or a mask), same tables."""
@@ -173,73 +182,211 @@ class Dataset:
         return frozenset(self._maps[m] for m in np.unique(self._rows[:, 4]).tolist())
 
 
-def _date_ordinal(text: str, line: int) -> int:
-    try:
-        if _DATE.fullmatch(text):
+class _Table(dict):
+    """Name -> code, in order of first appearance."""
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
+        return code
+
+    def codes(self, names: Iterable[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, names), np.int64)
+
+    def ranked(self, fixed: int = 0) -> tuple[tuple[str, ...], np.ndarray]:
+        """The names, the first ``fixed`` kept in place and the rest sorted,
+        and the rank of each code in that order."""
+        names = list(self)
+        order = [*range(fixed), *sorted(range(fixed, len(names)), key=names.__getitem__)]
+        rank = np.empty(len(order), np.intp)
+        rank[order] = np.arange(len(order))
+        return tuple(names[i] for i in order), rank
+
+
+class _Coder:
+    """Games coded as they arrive, a chunk of columns at a time; the one
+    way games become a Dataset.
+
+    Names get codes in order of first appearance and the codes go to
+    growing int64 buffers; :meth:`dataset` remaps each table to sorted
+    order (RACES first) with one rank array.
+    """
+
+    def __init__(self) -> None:
+        self.players, self.maps = _Table(), _Table()
+        self.races = _Table(zip(RACES, range(len(RACES))))
+        # player1, player2, race1, race2, map, winner, date ordinal, duration
+        self._columns = tuple(array("q") for _ in range(8))
+
+    def append(self, *columns: np.ndarray) -> None:
+        """Append one chunk's int64 code columns, in the buffers' order."""
+        for buffer, column in zip(self._columns, columns, strict=True):
+            buffer.frombytes(memoryview(np.ascontiguousarray(column, np.int64)).cast("B"))
+
+    def dataset(self, filter_log: Iterable = ()) -> Dataset:
+        (players, p), (races, r), (maps, m) = (
+            self.players.ranked(), self.races.ranked(len(RACES)), self.maps.ranked())
+        *codes, dates, durations = (np.frombuffer(b, np.int64) for b in self._columns)
+        rows = np.empty((len(dates), 6), np.intp)
+        for j, (rank, column) in enumerate(zip((p, p, r, r, m), codes)):
+            rows[:, j] = rank[column]
+        rows[:, 5] = codes[5]
+        return Dataset(players, maps, races, rows, dates.copy(), durations.copy(),
+                       tuple(filter_log))
+
+
+class _Cells(dict):
+    """Raw CSV cell -> ``code`` of its stripped text, or -1 where ``code``
+    raises a ValueError, whose message ``reasons`` keeps by raw cell."""
+
+    def __init__(self, code) -> None:
+        self.code, self.reasons = code, {}
+
+    def __missing__(self, raw: str) -> int:
+        try:
+            value = self.code(raw.strip())
+        except ValueError as exc:
+            value, self.reasons[raw] = -1, str(exc)
+        self[raw] = value
+        return value
+
+
+def _named(table: _Table) -> _Cells:
+    """Cells coded through a name table; an empty name codes as -1."""
+    return _Cells(lambda name: table[name] if name else -1)
+
+
+def _winner(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"winner must be 0 or 1, got {text!r}")
+    return int(text)
+
+
+def _date_ordinal(text: str) -> int:
+    if _DATE.fullmatch(text):
+        try:
             return dt.date.fromisoformat(text).toordinal()
+        except ValueError:
+            pass
+    raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
+
+
+def _seconds(text: str) -> int:
+    try:
+        duration = int(text)
     except ValueError:
-        pass
-    raise ParseError(f"bad date {text!r}, expected YYYY-MM-DD", line)
+        raise ValueError(f"bad duration {text!r}, expected integer seconds") from None
+    if duration < 0:
+        raise ValueError(f"duration must be nonnegative, got {duration}")
+    if duration > _MAX_DURATION:
+        raise ValueError(f"duration {text!r} is too large for a 64-bit integer")
+    return duration
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``io.StringIO(text)`` gives them, read a block
+    at a time: a StringIO holds a copy of its text at 4 bytes a character."""
+
+    def blocks() -> Iterator[str]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(io.StringIO, blocks()))
+
+
+def _read_rows(reader) -> tuple[list[list[str]], list[int], ParseError | None]:
+    """Up to _CHUNK_ROWS rows with the line each ends on, and the csv error
+    that stopped the read early, if one did."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for row in islice(reader, _CHUNK_ROWS):
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        return rows, lines, ParseError(f"malformed CSV: {exc}", reader.line_num)
+    return rows, lines, None
+
+
+def _code_rows(rows: list[list[str]], lines: list[int], cells: tuple[_Cells, ...],
+               coder: _Coder) -> None:
+    """Check one chunk of rows and append its codes; a ParseError names the
+    line of the first faulty row, and the first check it fails."""
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    misfit = np.flatnonzero((width != 0) & (width != len(CSV_HEADER)))
+    if misfit.size:  # the rows before it first, so the first fault in the file wins
+        k = int(misfit[0])
+        _code_rows(rows[:k], lines[:k], cells, coder)
+        raise ParseError(f"expected {len(CSV_HEADER)} fields, got {width[k]}", lines[k])
+    if not width.all():  # blank lines
+        rows, lines = list(compress(rows, width)), list(compress(lines, width))
+    if not rows:
+        return
+    winner, p1, r1, p2, r2, m, date, duration = (
+        np.fromiter(map(table.__getitem__, column), np.int64, len(rows))
+        for table, column in zip(cells, zip(*rows)))
+    # one column per check, in the order a row is checked
+    faults = np.stack([winner < 0, p1 < 0, r1 < 0, p2 < 0, r2 < 0, m < 0, p1 == p2,
+                       date < 0, duration < 0], axis=1)
+    if faults.any():
+        i, kind = divmod(int(faults.argmax()), faults.shape[1])
+        row, column = rows[i], max(kind - 1, 0)  # the cell a value check read
+        if tuple(c.strip() for c in row) == CSV_HEADER:  # fails the winner check
+            reason = "duplicate header row"
+        elif 1 <= kind <= 5:
+            reason = f"empty {CSV_HEADER[kind]} field"
+        elif kind == 6:
+            reason = f"player1 and player2 are both {row[1].strip()!r}"
+        else:
+            reason = cells[column].reasons[row[column]]
+        raise ParseError(reason, lines[i])
+    coder.append(p1, p2, r1, r2, m, winner, date, duration)
 
 
 def parse_matches(source: str | TextIO) -> Dataset:
     """Parse CSV text (or an open text stream) into a Dataset.
 
-    Raises :class:`ParseError` naming the offending line for any
-    malformed row.  Race tags are not validated here; use
-    :func:`filter_valid` afterwards.
+    Rows are read, checked and coded a chunk at a time.  Raises
+    :class:`ParseError` naming the line of the first malformed row, or
+    of the first CSV syntax error, whichever comes first.  Race tags
+    are not validated here; use :func:`filter_valid` afterwards.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = csv.reader(_lines(source) if isinstance(source, str) else source)
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input: header row required") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ParseError(
             f"bad header {header!r}, expected {','.join(CSV_HEADER)}", line=1
         )
 
-    rows: list[tuple] = []
-    ordinals: dict[str, int] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        cells = [c.strip() for c in row]
-        if tuple(cells) == CSV_HEADER:
-            raise ParseError("duplicate header row", line)
-        if len(cells) != len(CSV_HEADER):
-            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(cells)}", line)
-        winner_s, p1, r1, p2, r2, map_name, date_s, dur_s = cells
-        if winner_s not in ("0", "1"):
-            raise ParseError(f"winner must be 0 or 1, got {winner_s!r}", line)
-        for name, value in (("player1", p1), ("race1", r1), ("player2", p2),
-                            ("race2", r2), ("map", map_name)):
-            if not value:
-                raise ParseError(f"empty {name} field", line)
-        if p1 == p2:
-            raise ParseError(f"player1 and player2 are both {p1!r}", line)
-        ordinal = ordinals.get(date_s)
-        if ordinal is None:
-            ordinal = ordinals[date_s] = _date_ordinal(date_s, line)
-        try:
-            duration = int(dur_s)
-        except ValueError:
-            raise ParseError(f"bad duration {dur_s!r}, expected integer seconds", line) from None
-        if duration < 0:
-            raise ParseError(f"duration must be nonnegative, got {duration}", line)
-        if duration > _MAX_DURATION:
-            raise ParseError(f"duration {dur_s!r} is too large for a 64-bit integer", line)
-        rows.append((int(winner_s), p1, r1, p2, r2, map_name, ordinal, duration))
-    return Dataset._from_rows(rows)
+    coder = _Coder()
+    players, races = _named(coder.players), _named(coder.races)
+    cells = (_Cells(_winner), players, races, players, races, _named(coder.maps),
+             _Cells(_date_ordinal), _Cells(_seconds))
+    while True:
+        rows, lines, error = _read_rows(reader)
+        _code_rows(rows, lines, cells, coder)
+        if error is not None:
+            raise error
+        if len(rows) < _CHUNK_ROWS:
+            return coder.dataset()
 
 
 def dataset_to_csv(d: Dataset) -> str:
     """Serialize back to the canonical CSV schema (round-trips through parse)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # csv.writer quotes a cell for the line terminator's characters only, so
+    # a name holding CR but no LF would go out bare and not read back
+    bare_cr = any("\r" in name and "\n" not in name
+                  for name in d._players + d._maps + d._races)
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL)
     writer.writerow(CSV_HEADER)
     writer.writerows(d._fields(lambda ordinal: dt.date.fromordinal(ordinal).isoformat()))
     return buf.getvalue()

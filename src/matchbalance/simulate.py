@@ -115,17 +115,20 @@ def generate(truth: LeagueTruth, n: int, rng: np.random.Generator) -> Dataset:
 
     start = dt.date(2024, 9, 1).toordinal()
     span_days = 180
-    rows = []
-    for i in range(n):
+    player1, player2, map_names, winners, durations = [], [], [], [], []
+    for _ in range(n):
         i1, i2 = rng.choice(len(players), size=2, replace=False, p=weights)
         p1, p2 = players[i1], players[i2]
         map_name = maps[int(rng.integers(len(maps)))]
-        eta = true_eta(truth, p1, p2, map_name)
-        winner = int(rng.random() < sigmoid(eta))
-        date = start + (i * span_days) // max(n, 1)
-        rows.append((winner, p1, truth.race_of[p1], p2, truth.race_of[p2], map_name, date,
-                     int(rng.integers(300, 3601))))
-    return Dataset._from_rows(rows)
+        player1.append(p1)
+        player2.append(p2)
+        map_names.append(map_name)
+        winners.append(int(rng.random() < sigmoid(true_eta(truth, p1, p2, map_name))))
+        durations.append(int(rng.integers(300, 3601)))
+    return Dataset._from_columns(
+        player1, player2, [truth.race_of[p] for p in player1],
+        [truth.race_of[p] for p in player2], map_names, winners,
+        start + (np.arange(n) * span_days) // max(n, 1), durations)
 
 
 def truth_error(fit: FitResult, truth: LeagueTruth) -> tuple[float, dict]:

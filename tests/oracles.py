@@ -8,10 +8,15 @@ fit, adaptive quadrature
 instead of incomplete-gamma evaluation, central differences instead of
 the analytic score, direct per-row probability products instead of
 the vectorized likelihood, per-record scalar lookups instead of the
-sparse design for cross-validated prediction, and a record-by-record
+sparse design for cross-validated prediction, a record-by-record
 index and encoder (counters, union-find, dict lookups) instead of the
-coded, vectorized ones.
+coded, vectorized ones, and a row-by-row CSV parser that keeps each row
+as a tuple and codes whole columns against sorted tables, instead of
+checking and coding chunks of columns as they are read.
 """
+import csv
+import datetime as dt
+import io
 from collections import Counter, deque
 from math import copysign, exp, gamma, log
 
@@ -20,7 +25,8 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 
-from matchbalance.data import RACES, Dataset, DescriptiveStats
+from matchbalance.data import (_DATE, _MAX_DURATION, CSV_HEADER, RACES, Dataset,
+                               DescriptiveStats, ParseError)
 from matchbalance.design import (
     CANONICAL_PAIRS,
     EncodedDataset,
@@ -390,3 +396,79 @@ def describe_records(d):
         win_ratios=win_ratios,
         monthly_race_trend=trend,
     )
+
+
+def _rows_dataset(rows):
+    """Code rows of (winner, player1, race1, player2, race2, map, date
+    ordinal, duration) against sorted tables built from whole columns."""
+    winner, p1, r1, p2, r2, maps, dates, durations = zip(*rows) if rows else [()] * 8
+    players = tuple(sorted(set(p1).union(p2)))
+    races = RACES + tuple(sorted(set(r1).union(r2) - set(RACES)))
+    map_table = tuple(sorted(set(maps)))
+    codes = np.empty((len(rows), 6), dtype=np.intp)
+    for j, (table, column) in enumerate(zip((players, players, races, races, map_table),
+                                             (p1, p2, r1, r2, maps))):
+        code = dict(zip(table, range(len(table))))
+        codes[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+    codes[:, 5] = winner
+    return Dataset(players, map_table, races, codes, np.array(dates, np.int64),
+                   np.array(durations, np.int64))
+
+
+def _date_ordinal_rowwise(text, line):
+    try:
+        if _DATE.fullmatch(text):
+            return dt.date.fromisoformat(text).toordinal()
+    except ValueError:
+        pass
+    raise ParseError(f"bad date {text!r}, expected YYYY-MM-DD", line)
+
+
+def parse_matches_rowwise(source):
+    """The row-by-row parser: each row is checked in turn, in the order the
+    checks are listed, and kept as a tuple of fields until the end."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: header row required") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ParseError(
+            f"bad header {header!r}, expected {','.join(CSV_HEADER)}", line=1
+        )
+
+    rows = []
+    ordinals = {}
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            continue
+        cells = [c.strip() for c in row]
+        if tuple(cells) == CSV_HEADER:
+            raise ParseError("duplicate header row", line)
+        if len(cells) != len(CSV_HEADER):
+            raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(cells)}", line)
+        winner_s, p1, r1, p2, r2, map_name, date_s, dur_s = cells
+        if winner_s not in ("0", "1"):
+            raise ParseError(f"winner must be 0 or 1, got {winner_s!r}", line)
+        for name, value in (("player1", p1), ("race1", r1), ("player2", p2),
+                            ("race2", r2), ("map", map_name)):
+            if not value:
+                raise ParseError(f"empty {name} field", line)
+        if p1 == p2:
+            raise ParseError(f"player1 and player2 are both {p1!r}", line)
+        ordinal = ordinals.get(date_s)
+        if ordinal is None:
+            ordinal = ordinals[date_s] = _date_ordinal_rowwise(date_s, line)
+        try:
+            duration = int(dur_s)
+        except ValueError:
+            raise ParseError(f"bad duration {dur_s!r}, expected integer seconds", line) from None
+        if duration < 0:
+            raise ParseError(f"duration must be nonnegative, got {duration}", line)
+        if duration > _MAX_DURATION:
+            raise ParseError(f"duration {dur_s!r} is too large for a 64-bit integer", line)
+        rows.append((int(winner_s), p1, r1, p2, r2, map_name, ordinal, duration))
+    return _rows_dataset(rows)

@@ -1,3 +1,5 @@
+import csv
+import datetime as dt
 import json
 import multiprocessing
 import os
@@ -11,6 +13,7 @@ import pytest
 import matchbalance as mb
 from matchbalance import bootstrap as bt
 from matchbalance.cli import main
+from matchbalance.data import MatchRecord
 from matchbalance.glm import fit_from_obj
 from matchbalance.jsonio import load_json
 from helpers import simple_league
@@ -178,6 +181,34 @@ def test_ingest_writes_clean_csv_and_log(tmp_path, league_csv):
     assert log_obj["kept"] == len(cleaned)
     assert len(log_obj["removed"]) == 1
     assert "random" in log_obj["removed"][0]["reason"]
+
+
+def test_ingest_keeps_crlf_inside_quoted_names(tmp_path):
+    d = mb.Dataset.from_records([
+        MatchRecord(1, "a\r\nb", "Terran", "c", "Zerg", "Lost\r\nTemple", dt.date(2011, 1, 1), 5),
+        MatchRecord(0, "c", "Zerg", "d\ne", "Protoss", "M", dt.date(2011, 1, 2), 6)])
+    raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"
+    raw.write_bytes(mb.dataset_to_csv(d).encode("utf-8"))
+    assert run("ingest", "--input", raw, "--out", clean) == 0
+    assert clean.read_bytes() == raw.read_bytes()
+
+
+def test_input_saved_with_a_bom_reads_as_without(league_csv, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + league_csv.read_bytes())
+    assert run("fit", "--input", bom, "--out", tmp_path / "bom.json") == 0
+    assert run("fit", "--input", league_csv, "--out", tmp_path / "plain.json") == 0
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_csv_syntax_error_exits_2_naming_its_line(league_csv, tmp_path, capsys):
+    rows = league_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    huge = "x" * (csv.field_size_limit() + 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(rows[:4]) + f"1,{huge},Terran,B,Zerg,M,2011-01-01,1\n",
+                   encoding="utf-8")
+    assert run("fit", "--input", bad, "--out", tmp_path / "fit.json") == 2
+    assert "error: line 5: malformed CSV: field larger than field limit" in capsys.readouterr().err
 
 
 def test_describe_outputs(league_csv, tmp_path):
