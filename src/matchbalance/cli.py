@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -80,8 +81,18 @@ def _fit_option(field: str):
 
 def _load_dataset(path: str):
     # newline="" keeps CR/LF inside quoted cells as written; utf-8-sig drops a BOM
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        return filter_valid(parse_matches(fh))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return filter_valid(parse_matches(fh))
+    except UnicodeDecodeError:
+        pass
+    # The decoder counts its position from its read buffer, not the file, so
+    # read the lines again as the parser counts them: surrogateescape turns
+    # each byte that is not UTF-8 into one of U+DC80..U+DCFF, which no
+    # decoded UTF-8 text holds.
+    with open(path, encoding="utf-8-sig", newline="", errors="surrogateescape") as fh:
+        line = next(n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text))
+    raise ValueError(f"{path}: line {line} is not UTF-8 text")
 
 
 def _load_artifact(path: str, kind: str, check):

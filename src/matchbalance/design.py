@@ -16,14 +16,17 @@ skill is fixed to zero and they own no column.
 
 Both steps are array operations on a dataset's integer-coded columns,
 so a bootstrap draw or a cross-validation fold, a row take of those
-columns, is indexed and encoded without building a record.  How many
-directions the anchoring leaves unidentified follows from the design's
-structure alone (``_nullity``), which the fit reads once.
+columns, is indexed and encoded without building a record.  The fit
+works on the design's distinct rows up to sign, each with its game and
+win counts (``EncodedDataset._distinct``).  How many directions the
+anchoring leaves unidentified follows from the design's structure
+alone (``_nullity``), which the fit reads once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -174,6 +177,46 @@ class EncodedDataset:
     def subset(self, rows: np.ndarray) -> "EncodedDataset":
         return EncodedDataset(self.X[rows], self.response[rows], self.index)
 
+    @cached_property
+    def _distinct(self) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
+        """The distinct rows up to sign, with their game and win counts.
+
+        Each row is oriented so that its first (lowest-column) entry is
+        +1, its outcome flipped with it, and rows equal after orienting
+        are merged: X' diag(w) X over the games is then X' diag(m w) X
+        over these rows.  Returns their (r, p) CSR matrix, in the order
+        of an integer key per row (three base-(2p + 2) digits, one per
+        signed entry, in an int64, so p can reach about a million), the
+        number m of games per row and the number k of those its oriented
+        player1 won, both as floats.  Empty rows (same-race games between anchored players)
+        merge into one row with no entries.  Neither the order of the
+        games nor entering each one twice moves any bit of the rows.
+        """
+        X, p = self.X, self.p
+        start, length = X.indptr[:-1], np.diff(X.indptr)
+        # 1-based signed column per entry, then a 0 that rows shorter than 3 read
+        signed = np.append(np.where(X.data > 0, X.indices + 1, -1 - X.indices), 0)
+        orient = np.where((length > 0) & (signed.take(start, mode="clip") < 0), -1, 1)
+        base = 2 * p + 2
+        if base ** 3 > np.iinfo(np.int64).max:
+            raise ValueError(f"{p} columns are too many for the design's row keys")
+        key = np.zeros(len(start), np.int64)
+        for j in range(3):
+            key = key * base + np.where(
+                length > j, signed.take(start + j, mode="clip") * orient + (p + 1), 0)
+        won = np.where(orient > 0, self.response, 1 - self.response)
+        keys, row = np.unique(key, return_inverse=True)
+        games = np.bincount(row).astype(float)
+        wins = np.bincount(row, weights=won, minlength=len(keys))
+        digits = np.stack([keys // base ** 2, keys // base % base, keys % base], axis=1)
+        present = digits > 0
+        entries = digits[present] - (p + 1)
+        indptr = np.r_[0, np.cumsum(present.sum(axis=1))].astype(np.intc)
+        rows = scipy.sparse.csr_array(
+            (np.sign(entries).astype(float), (np.abs(entries) - 1).astype(np.intc), indptr),
+            shape=(len(keys), p))
+        return rows, games, wins
+
 
 def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
     """Raise an EncodingError naming the first record that cannot be encoded.
@@ -235,10 +278,11 @@ def _nullity(X: scipy.sparse.csr_array, Xt: scipy.sparse.csr_array, players: int
 
     ``Xt`` is the design's transpose as CSR.  The first ``players``
     columns are player columns, the other k matchup columns; ``gram`` is
-    a positive multiple of X'X.  Anchored players merge into one ground
-    node.  A BFS forest of the opponent graph gives each player an
-    integer potential psi over the matchup columns such that every tree
-    game's row of X Z vanishes, Z = [psi; I].  A null vector then shifts
+    X'DX for a positive diagonal D, with X'X's pattern and rank (the
+    fit passes X'WX at beta = 0, D = m/4).  Anchored players merge into
+    one ground node.  A BFS forest of the opponent graph gives each
+    player an integer potential psi over the matchup columns such that
+    every tree game's row of X Z vanishes, Z = [psi; I].  A null vector then shifts
     the players of one component without ground, or is Z v with
     X Z v = 0, so the nullity is the number of such components plus
     k - rank(Z' X'X Z).

@@ -1,12 +1,16 @@
 """Binomial-logit fitting by iteratively reweighted least squares.
 
 The unpenalized path is Newton-Raphson with step halving on the
-deviance.  Each Newton direction solves the sparse weighted normal
-equations X'WX d = X'(y - pi) by Jacobi-preconditioned conjugate
-gradients, so the fit never forms a dense p x p matrix and its memory
-grows with the number of games.  The L1 fit runs the same loop as
-proximal Newton: soft-thresholded steps solve each direction, so
-exactly-zero coefficients are representable.  Matchup columns with no
+deviance.  It runs on the design's distinct rows up to sign, each
+oriented so that its first entry is +1 and carrying its game count m
+and the number k of those games its oriented player1 won: the binomial
+form of the same Bernoulli likelihood, whose work per iteration grows
+with the distinct rows, not with the games.  Each Newton direction
+solves the sparse weighted normal equations X'WX d = X'(k - m pi),
+W = diag(m pi (1 - pi)), by Jacobi-preconditioned conjugate gradients,
+so the fit never forms a dense p x p matrix.  The L1 fit runs the same
+loop as proximal Newton: soft-thresholded steps solve each direction,
+so exactly-zero coefficients are representable.  Matchup columns with no
 observations are frozen at their start value and excluded from the
 solve (they are reported as having no data rather than dropped from
 the index).
@@ -53,30 +57,43 @@ def sigmoid(eta):
 def log_likelihood(beta: np.ndarray, data: EncodedDataset) -> float:
     """Bernoulli log-likelihood sum_i [y_i log pi_i + (1-y_i) log(1-pi_i)].
 
-    Computed as -log(1+exp(f*eta)) with f = 1 - 2y via logaddexp, which
-    stays finite for any eta; swapping the sides of a game negates both
-    f and eta, so its term does not change in any bit.
+    Summed over the design's distinct rows with their game and win
+    counts (``_log_loss``), so it stays finite for any eta and does not
+    change in any bit when the sides of a game swap or the games are
+    reordered.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    return -_log_loss(data.linear_predictor(beta), _flip(data))
+    X, games, wins = data._distinct
+    return -_log_loss(X @ beta, games, wins)
 
 
-def _flip(data: EncodedDataset) -> np.ndarray:
-    """f = 1 - 2y per row: -1 when player1 won, +1 when player2 won."""
-    return 1.0 - 2.0 * data.response
+def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray) -> float:
+    """Minus the log-likelihood of rows with linear predictors eta, each
+    won ``wins`` times in ``games``: sum m log(1 + e^-eta) + (m - k) eta.
 
-
-def _log_loss(eta: np.ndarray, flip: np.ndarray) -> float:
-    """Minus the log-likelihood at linear predictors eta: sum_i log(1 + exp(f_i eta_i))."""
-    return float(np.sum(np.logaddexp(0.0, flip * eta)))
+    Computed as m log(1 + e^-|eta|) + k max(-eta, 0) + (m - k) max(eta, 0),
+    one logaddexp per row and every term nonnegative, so a row whose
+    games were all won or all lost loses no digits to cancellation.
+    """
+    return float(np.sum(games * np.logaddexp(0.0, -np.abs(eta))
+                        + wins * np.maximum(-eta, 0.0)
+                        + (games - wins) * np.maximum(eta, 0.0)))
 
 
 def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
-    """Gradient of the log-likelihood: X'(y - pi)."""
-    eta = data.linear_predictor(np.asarray(beta, dtype=float))
-    return data.X.T @ (data.response - sigmoid(eta))
+    """Gradient of the log-likelihood: X'(y - pi), summed as X'(k - m pi)
+    over the distinct rows."""
+    X, games, wins = data._distinct
+    return X.T @ _residual(X @ np.asarray(beta, dtype=float), games, wins)[0]
+
+
+def _residual(eta: np.ndarray, games: np.ndarray, wins: np.ndarray):
+    """(k - m pi, pi (1 - pi)) per row, with 1 - pi taken as sigmoid(-eta),
+    which keeps its digits when a row's outcome is all but certain."""
+    pi, miss = sigmoid(eta), sigmoid(-eta)
+    return wins * miss - (games - wins) * pi, pi * miss
 
 
 @dataclass(frozen=True)
@@ -154,10 +171,11 @@ class FitError(RuntimeError):
 def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Maximum-likelihood fit via Newton-Raphson with step halving.
 
-    Each direction solves X'WX d = X'(y - pi) by conjugate gradients
-    on the sparse X'WX.  Stops when the relative deviance change drops
-    below ``opts.tolerance`` or after ``opts.max_iterations``; accepted
-    steps never increase the deviance.
+    The loop runs on the design's distinct rows with their game and win
+    counts, and each direction solves X'WX d = X'(k - m pi) by conjugate
+    gradients on the sparse X'WX.  Stops when the relative deviance
+    change drops below ``opts.tolerance`` or after
+    ``opts.max_iterations``; accepted steps never increase the deviance.
     """
     if opts.l1_lambda != 0:
         raise ValueError("fit_irls is unpenalized; use fit_lasso for l1_lambda > 0")
@@ -190,15 +208,18 @@ def _newton(data: EncodedDataset, opts: FitOptions, beta: np.ndarray,
     active = np.flatnonzero(counts > 0)
     no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
     players = int(np.searchsorted(active, len(data.index.player_columns)))
-    flip = _flip(data)
+    # every sum below runs over the distinct rows, in key order, with
+    # integer counts: reordering the games or swapping the sides of any
+    # of them leaves every bit of the fit as it is
+    X, games, wins = data._distinct
     # X'WX = Xa' (W Xa): slice and transpose once, rescale a copy per iteration
-    X_active = data.X[:, active] if no_data else data.X
+    X_active = X[:, active] if no_data else X
     X_active_t = X_active.T.tocsr()
     weighted = X_active.copy()
     row_nnz = np.diff(X_active.indptr)
 
-    eta = data.linear_predictor(beta)
-    deviance = 2.0 * _log_loss(eta, flip)
+    eta = X @ beta
+    deviance = 2.0 * _log_loss(eta, games, wins)
     objective = deviance + 2.0 * lam * float(np.abs(beta).sum())
     path = [deviance]
     stabilized = converged = False
@@ -206,18 +227,17 @@ def _newton(data: EncodedDataset, opts: FitOptions, beta: np.ndarray,
     iterations = 0
 
     for iterations in range(1, opts.max_iterations + 1):
-        # chance of the outcome not observed: 1 - pi or pi; it, and so the
-        # whole iteration, is unchanged when both sides of every game swap
-        miss = sigmoid(flip * np.clip(eta, -opts.eta_cap, opts.eta_cap))
-        np.multiply(X_active.data, np.repeat(miss * (1.0 - miss), row_nnz),
+        residual, variance = _residual(np.clip(eta, -opts.eta_cap, opts.eta_cap),
+                                       games, wins)
+        np.multiply(X_active.data, np.repeat(games * variance, row_nnz),
                     out=weighted.data)
-        g = -(X_active_t @ (flip * miss))
+        g = X_active_t @ residual
         hessian = X_active_t @ weighted
         if penalized:
             solution = _prox(hessian, g, beta[active], lam)
         else:
             if iterations == 1:
-                # every weight is 1/4 at beta = 0, so this X'WX is X'X / 4
+                # every weight is m/4 at beta = 0, so this X'WX is X'MX / 4
                 stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
             if stabilized:
                 hessian.setdiag(hessian.diagonal() * (1.0 + LAST_RESORT_RIDGE))
@@ -230,8 +250,8 @@ def _newton(data: EncodedDataset, opts: FitOptions, beta: np.ndarray,
         step = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
             candidate = beta + step * direction
-            candidate_eta = data.linear_predictor(candidate)
-            candidate_dev = 2.0 * _log_loss(candidate_eta, flip)
+            candidate_eta = X @ candidate
+            candidate_dev = 2.0 * _log_loss(candidate_eta, games, wins)
             candidate_obj = candidate_dev + 2.0 * lam * float(np.abs(candidate).sum())
             if candidate_obj <= objective:
                 break

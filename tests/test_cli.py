@@ -211,6 +211,16 @@ def test_csv_syntax_error_exits_2_naming_its_line(league_csv, tmp_path, capsys):
     assert "error: line 5: malformed CSV: field larger than field limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("good_rows", [3, 10_000])  # 10,000 rows pass the decoder's first buffer
+def test_input_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, good_rows):
+    bad = tmp_path / "bad.csv"
+    row = b"1,a,Terran,b,Zerg,M,2011-01-01,100\n"
+    bad.write_bytes(b"winner,player1,race1,player2,race2,map,date,duration_seconds\n"
+                    + row * good_rows + row.replace(b"a,", b"\xffa,") + row)
+    assert run("fit", "--input", bad, "--out", tmp_path / "fit.json") == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {good_rows + 2} is not UTF-8 text\n"
+
+
 def test_describe_outputs(league_csv, tmp_path):
     prefix = tmp_path / "stats"
     assert run("describe", "--input", league_csv, "--out", prefix) == 0

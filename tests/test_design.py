@@ -1,8 +1,10 @@
 import datetime as dt
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import matchbalance as mb
 from matchbalance import design, diagnostics
@@ -204,6 +206,20 @@ def test_all_zero_row_for_anchored_same_race_game():
     assert data.X.nnz == 0
     fit = mb.fit_irls(data)
     assert fit.fitted_probabilities(data)[0] == 0.5
+
+
+def test_row_keys_refuse_a_design_too_wide_for_int64():
+    idx = mb.build_parameter_index(Dataset.from_records([record("a", "Terran", "b", "Zerg")]), 1)
+    for p, fits in ((1_048_574, True), (1_048_575, False)):  # 2p + 2 = 2^21 - 2, 2^21
+        # about the largest key: digits 2p - 1, 2p and 2p + 1
+        X = scipy.sparse.csr_array(([1.0] * 3, [p - 3, p - 2, p - 1], [0, 3]), shape=(1, p))
+        data = design.EncodedDataset(X, np.array([1], np.int8), replace(idx, p=p))
+        if fits:
+            rows, games, wins = data._distinct
+            assert (rows != X).nnz == 0 and games.tolist() == wins.tolist() == [1.0]
+        else:
+            with pytest.raises(ValueError, match="too many"):
+                data._distinct
 
 
 def test_index_json_round_trip():

@@ -6,9 +6,12 @@ takes of a dataset, as bootstrap draws and CV folds make them, index
 and encode exactly as the record-by-record oracle does, and filtering,
 summaries, id sets, records and equality of the columns agree with
 record loops.  The design's structural nullity equals its dense rank
-deficiency, and the fit keeps swap symmetry of the fitted
-probabilities and record-order invariance of the coefficients.  A fit
-survives its JSON artifact bit for bit.
+deficiency.  The design's distinct rows with their game and win counts
+give the per-row X'WX, score and deviance.  The fit keeps swap symmetry
+of the fitted probabilities, does not change in any bit when the
+records are reordered, and entering every game twice doubles its
+deviance and nothing else.  A fit survives its JSON artifact bit for
+bit.
 """
 import datetime as dt
 import json
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.design import _encode, _nullity
-from matchbalance.glm import fit_from_obj, fit_to_obj
+from matchbalance.glm import fit_from_obj, fit_to_obj, sigmoid
 from matchbalance.jsonio import dumps
 from oracles import (
     dense_newton_fit,
@@ -212,6 +215,45 @@ def test_structural_nullity_equals_the_dense_rank_deficiency(d, m, identifiable)
     assert fit.stabilized == (expected > 0) == dense_newton_fit(data)[4]
 
 
+@st.composite
+def repeated(draw):
+    """Games plus repeats of some of them, each repeat with its sides
+    swapped or not, plus a same-race game between two players of one
+    game each on a map of its own: with ``min_games`` >= 2 an empty row
+    and three matchup columns without data."""
+    base = draw(st.lists(records(), min_size=1, max_size=25))
+    repeats = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.booleans()),
+                            min_size=1, max_size=25))
+    lone = replace(base[0], player1="lone_1", race1="Zerg", player2="lone_2",
+                   race2="Zerg", map_name="Lone")
+    return Dataset.from_records(base + [swap(base[i]) if swapped else base[i]
+                                        for i, swapped in repeats] + [lone])
+
+
+@encoder_settings
+@given(repeated(), st.integers(2, 8), st.booleans(), st.randoms(use_true_random=False))
+def test_distinct_rows_give_the_per_row_newton_system(d, m, identifiable, rnd):
+    # without ensure_identifiable a component may keep no anchor: rank-deficient
+    data = mb.build_design(d, mb.build_parameter_index(d, m, ensure_identifiable=identifiable))
+    beta = np.random.default_rng(rnd.getrandbits(32)).normal(0.0, 1.5, data.p)
+    eta = data.linear_predictor(beta)
+    pi, y = sigmoid(eta), data.response
+    gram = (data.X.T @ data.X.multiply((pi * (1.0 - pi))[:, None])).toarray()
+    terms = np.abs(data.X).T @ np.abs(y - pi)  # the size of the summands of the score
+    deviance = 2.0 * np.sum(np.logaddexp(0.0, np.where(y == 1, -eta, eta)))
+
+    X, games, wins = data._distinct
+    assert X.shape[0] < data.n and games.sum() == data.n
+    assert np.array_equal(X.data ** 2, np.ones(X.nnz)) and X.has_sorted_indices
+    assert np.all(X.data[X.indptr[:-1][np.diff(X.indptr) > 0]] == 1.0)  # oriented
+    assert np.all((0 <= wins) & (wins <= games))
+    pi_rows = sigmoid(X @ beta)
+    gram_rows = (X.T @ X.multiply((games * pi_rows * (1.0 - pi_rows))[:, None])).toarray()
+    assert np.max(np.abs(gram_rows - gram)) <= 1e-12 * np.max(np.abs(gram))
+    assert np.all(np.abs(mb.score(beta, data) - data.X.T @ (y - pi)) <= 1e-12 * terms)
+    assert -2.0 * mb.log_likelihood(beta, data) == pytest.approx(deviance, rel=1e-12)
+
+
 @encoder_settings
 @given(datasets, min_games)
 def test_fit_keeps_swap_symmetry_of_fitted_probabilities(d, m):
@@ -230,17 +272,28 @@ def test_fit_keeps_record_order_invariance(d, m, rnd):
     rnd.shuffle(order)
     permuted = mb.build_design(Dataset.from_records(d.records[i] for i in order), idx)
     fit, fit_permuted = mb.fit_irls(data), mb.fit_irls(permuted)
-    assert fit.stabilized == fit_permuted.stabilized
-    # Row order changes only the order of the sums in X'WX and X'(y - pi),
-    # but the last Newton step changes the deviance by less than its float
-    # resolution, so the step-halving test takes or halves it by rounding.
-    # Near the optimum that test tells coefficients apart only to about
-    # sqrt(ulp(deviance) / curvature): some 1e-7 on leagues this small.
-    assert np.max(np.abs(fit.fitted_probabilities(data)[order]
-                         - fit_permuted.fitted_probabilities(permuted)), initial=0) <= 1e-7
-    if not fit.stabilized:
-        # unidentified directions are the ridge's arbitrary choice; the rest must not move
-        assert np.max(np.abs(fit.coefficients - fit_permuted.coefficients), initial=0) <= 1e-6
+    # The fit sums over the design's distinct rows in the order of their
+    # keys, with integer game and win counts, so the record order reaches
+    # no operand and no order of summation: every bit stays, including the
+    # directions that the ridge picks in a stabilized fit.
+    assert fit.coefficients.tobytes() == fit_permuted.coefficients.tobytes()
+    assert (fit.fitted_probabilities(data)[order].tobytes()
+            == fit_permuted.fitted_probabilities(permuted).tobytes())
+    assert (fit.deviance, fit.iterations, fit.stabilized) == \
+        (fit_permuted.deviance, fit_permuted.iterations, fit_permuted.stabilized)
+
+
+@encoder_settings
+@given(contested(), min_games)
+def test_fit_on_every_game_entered_twice_doubles_only_the_deviance(d, m):
+    # the index stays the one of the games entered once (README acceptance 6b)
+    idx, data = encode(d, m)
+    fit = mb.fit_irls(data)
+    twice = mb.fit_irls(mb.build_design(Dataset.from_records(d.records * 2), idx))
+    # every count doubles, and doubling is exact in floating point
+    assert twice.coefficients.tobytes() == fit.coefficients.tobytes()
+    assert (twice.deviance, twice.iterations, twice.stabilized) == \
+        (2.0 * fit.deviance, fit.iterations, fit.stabilized)
 
 
 @encoder_settings
