@@ -8,11 +8,15 @@ statistic or the dispersion estimate.  Draw
 ``b`` of master seed ``s`` uses ``numpy.random.SeedSequence((s, b))``,
 so results never depend on ``jobs`` or on execution order.
 
-With ``jobs`` above 1, draws run in worker processes, because a draw's
-fit is many small numpy calls that hold the interpreter lock.  Workers
-are forked where the platform allows, so they inherit the dataset
-instead of receiving a pickled copy; each one still adds its own memory
-as it writes.  On Python 3.12 and later, forking from a caller that runs
+The draws' designs are fitted together, as stacks (``glm._fit_stacks``):
+each Newton step makes one assembly and each conjugate-gradient step
+one sparse product for all of them, and a draw's fit is bitwise the one
+``fit_irls`` gives it alone.  With ``jobs`` above 1, each worker process
+fits one contiguous chunk of the draws, because the fits hold the
+interpreter lock; with ``jobs=1`` the calling process fits them all.
+Workers are forked where the platform allows, so they inherit the
+dataset instead of receiving a pickled copy; each one still adds its own
+memory as it writes.  On Python 3.12 and later, forking from a caller that runs
 other threads emits a ``DeprecationWarning``.  Every call starts its
 workers and stops them before it returns, also when it raises.
 """
@@ -28,7 +32,7 @@ import numpy as np
 from .data import Dataset
 from .design import CANONICAL_PAIRS, build_design, build_parameter_index
 from .diagnostics import pearson_dispersion
-from .glm import FitError, FitOptions, FitResult, fit_irls
+from .glm import FitError, FitOptions, FitResult, _fit_stacks
 
 MAX_FAILURE_FRACTION = 0.2
 
@@ -98,37 +102,54 @@ def _dispersion(fit: FitResult, data) -> float:
     return pearson_dispersion(fit, data).phi
 
 
-def _run_draw(d, opts, min_games, seed, statistic, b):
-    """Draw ``b``'s (statistic, None) of its converged refit, or (None, cause)."""
+def _run_draws(d, opts, min_games, seed, statistic, draws: range) -> list:
+    """Per draw b in ``draws``, in order, the (statistic, None) of its
+    converged refit, or (None, cause).  The draws' designs are fitted
+    together, as stacks (``glm._fit_stacks``)."""
+    designs = (_draw_design(d, min_games, seed, b) for b in draws)
+    return _fit_stacks(designs, opts, partial(_outcome, statistic))
+
+
+def _draw_design(d, min_games, seed, b):
+    """Draw ``b``'s design, or None when it cannot be indexed or encoded."""
     sample = resample(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
     try:
-        data = build_design(sample, build_parameter_index(sample, min_games))
-        fit = fit_irls(data, opts)
-        if not fit.converged:
-            return None, "did not converge"
-        return statistic(fit, data), None
-    except FitError:
+        return build_design(sample, build_parameter_index(sample, min_games))
+    except ValueError:
+        return None
+
+
+def _outcome(statistic, data, fit):
+    """A draw's (statistic, None), or (None, cause) without a design or a converged fit."""
+    if data is None:
+        return None, "raised ValueError"
+    if isinstance(fit, FitError):
         return None, "raised FitError"
+    if not fit.converged:
+        return None, "did not converge"
+    try:
+        return statistic(fit, data), None
     except ValueError:
         return None, "raised ValueError"
 
 
-_worker_draw = None  # a worker process's draw callable, set by _start_worker
+_worker_draws = None  # a worker's callable on a range of draws, set by _start_worker
 
 
-def _start_worker(draw) -> None:
-    global _worker_draw
-    _worker_draw = draw
+def _start_worker(draws) -> None:
+    global _worker_draws
+    _worker_draws = draws
 
 
-def _draw_in_worker(b: int):
-    return _worker_draw(b)
+def _draws_in_worker(chunk: range) -> list:
+    return _worker_draws(chunk)
 
 
-def _map_in_processes(draw, B: int, workers: int) -> list:
-    """``draw(b)`` for b < B on a pool of ``workers`` processes, in draw order.
+def _map_in_processes(run, B: int, workers: int) -> list:
+    """``run(chunk)`` on a pool of ``workers`` processes, one contiguous chunk
+    of range(B) each, concatenated in draw order.
 
-    ``draw`` reaches each worker once, as its initializer's argument: under
+    ``run`` reaches each worker once, as its initializer's argument: under
     fork it is inherited, not pickled.  A worker that dies raises
     :class:`BootstrapError`; the pool is shut down before this returns.
     """
@@ -136,11 +157,14 @@ def _map_in_processes(draw, B: int, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    bounds = [B * w // workers for w in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
-                             initializer=_start_worker, initargs=(draw,)) as pool:
+                             initializer=_start_worker, initargs=(run,)) as pool:
         try:
-            return list(pool.map(_draw_in_worker, range(B)))
+            return [result for chunk in pool.map(_draws_in_worker, chunks)
+                    for result in chunk]
         except BrokenProcessPool as exc:
             raise BootstrapError(
                 "a bootstrap worker process died before its draws ended "
@@ -152,17 +176,15 @@ def _draws(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
            jobs: int, statistic) -> tuple[list, int]:
     """Successful draws' statistics in draw order, and the failure count.
 
-    Draws use independent derived seeds, so running them on ``jobs``
-    workers cannot change the results.  ``jobs=1`` runs them in this
-    process.  More than 20% failures raises :class:`BootstrapError`,
-    whose message counts the failures by cause.
+    Draws use independent derived seeds, and a draw's fit does not depend
+    on the stack it is fitted in, so running them on ``jobs`` workers
+    cannot change the results.  ``jobs=1`` runs them in this process.
+    More than 20% failures raises :class:`BootstrapError`, whose message
+    counts the failures by cause.
     """
-    draw = partial(_run_draw, d, opts, min_games, seed, statistic)
+    run = partial(_run_draws, d, opts, min_games, seed, statistic)
     workers = min(jobs, B)
-    if workers > 1:
-        results = _map_in_processes(draw, B, workers)
-    else:
-        results = [draw(b) for b in range(B)]
+    results = _map_in_processes(run, B, workers) if workers > 1 else run(range(B))
     draws = [stat for stat, cause in results if cause is None]
     failed = B - len(draws)
     if failed > MAX_FAILURE_FRACTION * B:

@@ -78,6 +78,14 @@ class MatchRecord:
     duration: int
 
     def __post_init__(self) -> None:
+        # parse_matches strips every cell and rejects an empty name, so
+        # only these names survive a CSV round trip
+        for field in ("player1", "race1", "player2", "race2", "map_name"):
+            name = getattr(self, field)
+            if not name:
+                raise ValueError(f"{field} is empty")
+            if name != name.strip():
+                raise ValueError(f"{field} {name!r} has leading or trailing whitespace")
         if self.winner not in (0, 1):
             raise ValueError(f"winner must be 0 or 1, got {self.winner!r}")
         if self.player1 == self.player2:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .design import EncodedDataset, _check, _encode, build_parameter_index
-from .glm import FitOptions, FitResult, _accuracy, _cv_folds, chi_square_sf, fit_irls
+from .glm import (FitError, FitOptions, FitResult, _accuracy, _cv_folds, _fit_stacks,
+                  chi_square_sf)
 
 
 @dataclass
@@ -139,20 +140,25 @@ def k_fold_cv(
     Each fold's model is indexed and fitted from its training rows
     only; its test rows, in dataset order, are encoded against that
     index, so players or maps unseen in training contribute 0 at
-    prediction time, mirroring the anchoring policy.
+    prediction time, mirroring the anchoring policy.  The k training
+    fits run together, as stacks (``glm._fit_stacks``).
     """
     folds = _cv_folds(len(d), k, seed)
     _check(d)  # race tags, once: every fold is a row take of d
 
+    trains = (d._take(train_rows) for train_rows, _ in folds)
+    designs = (_encode(train, build_parameter_index(train, min_games)) for train in trains)
+
+    def trained(data, fit):  # what the test rows need, and no design
+        if isinstance(fit, FitError):
+            raise fit
+        return data.index, fit.coefficients, _accuracy(fit.coefficients, data, opts.eta_cap)
+
     per_fold: list[tuple[float, float]] = []
-    for train_rows, test_rows in folds:
-        train = d._take(train_rows)
-        idx = build_parameter_index(train, min_games)
-        train_data = _encode(train, idx)
-        test_data = _encode(d._take(test_rows), idx)
-        beta = fit_irls(train_data, opts).coefficients
-        per_fold.append((_accuracy(beta, train_data, opts.eta_cap),
-                         _accuracy(beta, test_data, opts.eta_cap)))
+    for (_, test_rows), (idx, beta, train_acc) in zip(folds,
+                                                     _fit_stacks(designs, opts, trained)):
+        test = _encode(d._take(test_rows), idx)
+        per_fold.append((train_acc, _accuracy(beta, test, opts.eta_cap)))
 
     train_acc = np.array([a for a, _ in per_fold])
     test_acc = np.array([b for _, b in per_fold])

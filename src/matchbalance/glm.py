@@ -25,15 +25,28 @@ the fit's ``stabilized`` flag reports exactly this rank deficiency.
 Linear predictors are capped at ``eta_cap`` when computing weights and
 fitted probabilities, which keeps the weighted normal equations finite
 under quasi-separation (undefeated players are common in this data).
+
+The loop fits a stack of designs at once (``_fit_stacks``; bootstrap
+draws and cross-validation folds are fitted so, and a single fit is a
+stack of one).  Each design's distinct rows, restricted to its active
+columns, sit block-diagonally, so one sparse product assembles every
+block's X'WX and one matrix-vector product per conjugate-gradient step
+serves every block.  Every scalar of a fit (the CG step sizes and
+residual bound, the Newton step and its halving, the deviance and the
+stopping test) is computed per block by segment reductions
+(``np.add.reduceat``), and a block that finishes leaves the stack, so a
+design's fit is bitwise the same alone or in any stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.special
+from scipy.sparse import _sparsetools
 
 from .design import EncodedDataset, ParameterIndex, _layout, _nullity
 from .jsonio import _NUMBER, _check_shape
@@ -42,6 +55,7 @@ LAST_RESORT_RIDGE = 1e-10
 MAX_STEP_HALVINGS = 30
 _SOLVE_TOLERANCE = 1e-10  # CG: residual relative to |rhs|; prox: largest move
 _SOLVE_STEPS_PER_COLUMN = 10
+_STACK_ROWS = 1 << 13  # distinct rows at which a stack of fits closes
 
 
 def sigmoid(eta):
@@ -66,20 +80,22 @@ def log_likelihood(beta: np.ndarray, data: EncodedDataset) -> float:
     if beta.shape != (data.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
     X, games, wins = data._distinct
-    return -_log_loss(X @ beta, games, wins)
+    return -float(_log_loss(X @ beta, games, wins, np.zeros(1, np.intp))[0])
 
 
-def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray) -> float:
-    """Minus the log-likelihood of rows with linear predictors eta, each
-    won ``wins`` times in ``games``: sum m log(1 + e^-eta) + (m - k) eta.
+def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray,
+              starts: np.ndarray) -> np.ndarray:
+    """Minus the log-likelihood of each block of rows, the blocks starting
+    at ``starts``, of rows with linear predictors eta, each won ``wins``
+    times in ``games``: sum m log(1 + e^-eta) + (m - k) eta.
 
     Computed as m log(1 + e^-|eta|) + k max(-eta, 0) + (m - k) max(eta, 0),
     one logaddexp per row and every term nonnegative, so a row whose
     games were all won or all lost loses no digits to cancellation.
     """
-    return float(np.sum(games * np.logaddexp(0.0, -np.abs(eta))
-                        + wins * np.maximum(-eta, 0.0)
-                        + (games - wins) * np.maximum(eta, 0.0)))
+    return np.add.reduceat(games * np.logaddexp(0.0, -np.abs(eta))
+                           + wins * np.maximum(-eta, 0.0)
+                           + (games - wins) * np.maximum(eta, 0.0), starts)
 
 
 def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
@@ -177,9 +193,39 @@ def fit_irls(data: EncodedDataset, opts: FitOptions = FitOptions()) -> FitResult
     change drops below ``opts.tolerance`` or after
     ``opts.max_iterations``; accepted steps never increase the deviance.
     """
+    (fit,) = _fit_stacks([data], opts, lambda data, fit: fit)
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def _fit_stacks(designs, opts: FitOptions, use) -> list:
+    """``use(design, fit)`` for each design of an iterable, in order, where
+    fit is ``fit_irls``'s result or its FitError unraised.
+
+    Consecutive designs are fitted together as one stack, which closes
+    once its designs reach ``_STACK_ROWS`` distinct rows, and ``use``
+    sees a stack's fits before the next design is read: no more than
+    one stack's designs are held at a time.  A None in place of a design
+    is passed on as use(None, None).
+    """
     if opts.l1_lambda != 0:
         raise ValueError("fit_irls is unpenalized; use fit_lasso for l1_lambda > 0")
-    return _newton(data, opts, np.zeros(data.p), penalized=False)
+    out, pending, rows = [], [], 0
+    for data in designs:
+        pending.append(data)
+        rows += 0 if data is None else data._distinct[0].shape[0]
+        if rows >= _STACK_ROWS:
+            out += _fit_pending(pending, opts, use)
+            pending, rows, data = [], 0, None  # held by nothing while the next is read
+    return out + _fit_pending(pending, opts, use)
+
+
+def _fit_pending(pending: list, opts: FitOptions, use) -> list:
+    """``use`` on each of ``pending``, fitted as one stack."""
+    stack = [data for data in pending if data is not None]
+    fits = iter(_newton(stack, opts, [np.zeros(data.p) for data in stack], False))
+    return [use(data, None if data is None else next(fits)) for data in pending]
 
 
 def fit_lasso(data: EncodedDataset, opts: FitOptions, *,
@@ -194,131 +240,305 @@ def fit_lasso(data: EncodedDataset, opts: FitOptions, *,
     the problem identifiable.
     """
     start = np.zeros(data.p) if warm_start is None else np.array(warm_start, dtype=float)
-    return _newton(data, opts, start, penalized=True)
+    return _newton([data], opts, [start], penalized=True)[0]
 
 
-def _newton(data: EncodedDataset, opts: FitOptions, beta: np.ndarray,
-            penalized: bool) -> FitResult:
-    """Newton loop of both fits from ``beta``; step halving runs on
-    deviance + 2 lambda |beta|_1, which is the deviance for ``fit_irls``."""
-    if data.n == 0:
-        raise ValueError("cannot fit an empty dataset")
+class _Block:
+    """One design of a stack: its distinct rows restricted to the columns
+    that hold data."""
+
+    def __init__(self, data: EncodedDataset):
+        if data.n == 0:
+            raise ValueError("cannot fit an empty dataset")
+        self.data = data
+        counts = data.column_counts()
+        self.active = np.flatnonzero(counts > 0)
+        self.no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
+        self.players = int(np.searchsorted(self.active, len(data.index.player_columns)))
+        X, self.games, self.wins = data._distinct
+        self.X = X[:, self.active] if self.no_data else X
+
+
+class _Stack:
+    """Blocks placed block-diagonally: their active columns side by side,
+    their rows one after another, so that each sparse product or
+    elementwise operation acts on every block at once and no block's
+    numbers touch another's.  Coefficient vectors hold all ``p`` columns
+    of each block, and ``active`` picks the active ones."""
+
+    def __init__(self, blocks: list[_Block]):
+        self.blocks = blocks
+        self.row_sizes = np.array([b.X.shape[0] for b in blocks])
+        self.p = np.array([b.data.p for b in blocks])
+        self.sizes = np.array([b.active.size for b in blocks])  # active columns
+        self.rows, self.columns = _starts(self.row_sizes), _starts(self.p)
+        self.ends = _segment_ends(self.sizes)
+        # the same for two such vectors, each padded, one after the other
+        self.ends_twice = np.append(self.ends, self.ends + self.sizes.sum() + 1)
+        self.active = np.concatenate(
+            [b.active + start for b, start in zip(blocks, self.columns.tolist())])
+        self.X = _block_diagonal([b.X for b in blocks])
+        self.Xt = self.X.T.tocsr()
+        self.weighted = self.X.copy()
+        self.row_nnz = np.diff(self.X.indptr)
+        # X'WX has X'X's pattern whatever W, so its size bound is found once
+        n = self.Xt.shape[0]
+        self.gram_nnz = _sparsetools.csr_matmat_maxnnz(
+            n, n, self.Xt.indptr, self.Xt.indices, self.X.indptr, self.X.indices)
+        self.games = np.concatenate([b.games for b in blocks])
+        self.wins = np.concatenate([b.wins for b in blocks])
+
+    def gram(self) -> scipy.sparse.csr_array:
+        """X'WX for the current ``weighted`` = WX, by the kernel behind
+        ``Xt @ weighted`` with its size bound from ``gram_nnz``."""
+        n = self.Xt.shape[0]
+        indptr = np.empty(n + 1, self.Xt.indptr.dtype)
+        indices = np.empty(self.gram_nnz, indptr.dtype)
+        data = np.empty(self.gram_nnz)
+        _sparsetools.csr_matmat(n, n, self.Xt.indptr, self.Xt.indices, self.Xt.data,
+                                self.weighted.indptr, self.weighted.indices,
+                                self.weighted.data, indptr, indices, data)
+        nnz = indptr[-1]  # exact zeros are left out, as ``@`` leaves them
+        return scipy.sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+
+    def spread(self, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Each block's value repeated over its segment of the given sizes;
+        one block's value as it is, to broadcast."""
+        return values if len(self.blocks) == 1 else values.repeat(sizes)
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Start of each of consecutive segments of the given sizes."""
+    return np.cumsum(sizes) - sizes
+
+
+def _segment_ends(sizes: np.ndarray) -> np.ndarray:
+    """``np.add.reduceat`` indices for per-block sums of a vector made of
+    blocks of the given sizes and one trailing 0.
+
+    Each block contributes its start and end, so every other result is a
+    block's sum; an empty block starts and ends at the 0, which a plain
+    list of starts would give the next block's first element instead."""
+    ends = np.cumsum(sizes)
+    pad = ends[-1]
+    return np.stack([np.where(sizes > 0, ends - sizes, pad),
+                     np.where(sizes > 0, ends, pad)], axis=1).ravel()
+
+
+def _block_diagonal(blocks: list) -> scipy.sparse.csr_array:
+    """The CSR matrices ``blocks`` placed on a diagonal, in order."""
+    if len(blocks) == 1:
+        return blocks[0]
+    column = nnz = 0
+    indices, indptr = [], []
+    for b in blocks:
+        indices.append(b.indices + column)
+        indptr.append(b.indptr[:-1] + nnz)
+        column, nnz = column + b.shape[1], nnz + b.nnz
+    indptr.append(np.array([nnz], indptr[0].dtype))
+    return scipy.sparse.csr_array(
+        (np.concatenate([b.data for b in blocks]), np.concatenate(indices),
+         np.concatenate(indptr)), shape=(sum(b.shape[0] for b in blocks), column))
+
+
+def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.ndarray],
+            penalized: bool) -> list:
+    """Newton loop of both fits, for a stack of designs from their ``starts``.
+
+    Returns each design's FitResult or, where conjugate gradients failed,
+    its FitError (returned, not raised).  Step halving runs per design on
+    deviance + 2 lambda |beta|_1, which is the deviance for ``fit_irls``.
+    Every number of a design comes from operations per row, per column or
+    per design (``np.add.reduceat`` over the design's segment), so no bit
+    of a design's fit depends on the other designs in its stack; a design
+    that finishes leaves the stack.  A penalized stack holds one design.
+    """
+    if penalized and len(designs) > 1:
+        raise ValueError("a penalized stack holds one design")
     lam = float(opts.l1_lambda)
-    counts = data.column_counts()
-    active = np.flatnonzero(counts > 0)
-    no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
-    players = int(np.searchsorted(active, len(data.index.player_columns)))
-    # every sum below runs over the distinct rows, in key order, with
-    # integer counts: reordering the games or swapping the sides of any
-    # of them leaves every bit of the fit as it is
-    X, games, wins = data._distinct
-    # X'WX = Xa' (W Xa): slice and transpose once, rescale a copy per iteration
-    X_active = X[:, active] if no_data else X
-    X_active_t = X_active.T.tocsr()
-    weighted = X_active.copy()
-    row_nnz = np.diff(X_active.indptr)
+    out = [None] * len(designs)
+    if not designs:
+        return out
+    s = _Stack([_Block(data) for data in designs])
+    at = list(range(len(designs)))  # each stacked block's place in ``out``
 
-    eta = X @ beta
-    deviance = 2.0 * _log_loss(eta, games, wins)
-    objective = deviance + 2.0 * lam * float(np.abs(beta).sum())
-    path = [deviance]
-    stabilized = converged = False
-    solved = True
-    iterations = 0
+    def objective_of(beta):
+        """eta, and each block's deviance and objective, as lists."""
+        eta = s.X @ beta[s.active]
+        deviance = 2.0 * _log_loss(eta, s.games, s.wins, s.rows)
+        if not penalized:
+            return eta, deviance.tolist(), deviance.tolist()
+        penalty = 2.0 * lam * np.add.reduceat(np.abs(beta), s.columns)
+        return eta, deviance.tolist(), (deviance + penalty).tolist()
+
+    beta = np.concatenate(starts).astype(float)
+    eta, deviance, objective = objective_of(beta)
+    paths = [[dev] for dev in deviance]
+    stabilized = [False] * len(designs)
 
     for iterations in range(1, opts.max_iterations + 1):
         residual, variance = _residual(np.clip(eta, -opts.eta_cap, opts.eta_cap),
-                                       games, wins)
-        np.multiply(X_active.data, np.repeat(games * variance, row_nnz),
-                    out=weighted.data)
-        g = X_active_t @ residual
-        hessian = X_active_t @ weighted
+                                       s.games, s.wins)
+        np.multiply(s.X.data, np.repeat(s.games * variance, s.row_nnz),
+                    out=s.weighted.data)
+        g = s.Xt @ residual
+        hessian = s.gram()
         if penalized:
-            solution = _prox(hessian, g, beta[active], lam)
+            solution = _prox(hessian, g, beta[s.active], lam)
+            solved = [True]
         else:
+            diagonal = hessian.diagonal()
             if iterations == 1:
                 # every weight is m/4 at beta = 0, so this X'WX is X'MX / 4
-                stabilized = _nullity(X_active, X_active_t, players, hessian) > 0
-            if stabilized:
-                hessian.setdiag(hessian.diagonal() * (1.0 + LAST_RESORT_RIDGE))
-            solution, solved = _cg(hessian, g)
-            if not solved:
-                break
-        direction = np.zeros(data.p)
-        direction[active] = solution
+                stabilized = [
+                    _nullity(b.X, b.X.T.tocsr(), b.players, hessian if len(s.blocks) == 1
+                             else hessian[lo:lo + b.active.size, lo:lo + b.active.size]) > 0
+                    for lo, b in zip(_starts(s.sizes).tolist(), s.blocks)]
+            if any(stabilized):
+                diagonal *= s.spread(np.where(stabilized, 1.0 + LAST_RESORT_RIDGE, 1.0),
+                                     s.sizes)
+                hessian.setdiag(diagonal)
+            solution, solved = _cg(hessian, diagonal, g, s)
+            if not solved.all():
+                solution = np.where(s.spread(solved, s.sizes), solution, 0.0)
+            solved = solved.tolist()
+        direction = np.zeros(beta.size)
+        direction[s.active] = solution
 
-        step = 1.0
-        for _ in range(MAX_STEP_HALVINGS + 1):
-            candidate = beta + step * direction
-            candidate_eta = X @ candidate
-            candidate_dev = 2.0 * _log_loss(candidate_eta, games, wins)
-            candidate_obj = candidate_dev + 2.0 * lam * float(np.abs(candidate).sum())
-            if candidate_obj <= objective:
+        step = [1.0] * len(at)
+        candidate = beta + direction
+        for halvings in range(MAX_STEP_HALVINGS + 1):
+            candidate_eta, candidate_dev, candidate_obj = objective_of(candidate)
+            descent = [c <= o for c, o in zip(candidate_obj, objective)]
+            if all(descent) or halvings == MAX_STEP_HALVINGS:
                 break
-            step *= 0.5
+            step = [h if ok else 0.5 * h for h, ok in zip(step, descent)]
+            candidate = beta + s.spread(np.array(step), s.p) * direction
+        # a block without descent at float precision has converged
+        moved = [ok and fine for ok, fine in zip(solved, descent)]
+        if penalized:
+            change = np.maximum.reduceat(np.abs(candidate - beta), s.columns).tolist()
         else:
-            converged = True  # no descent available at float precision
+            change = [abs(o - c) / max(o, 1e-10) for o, c in zip(objective, candidate_obj)]
+        if all(moved):
+            beta, eta = candidate, candidate_eta
+        else:
+            beta = np.where(s.spread(np.array(moved), s.p), candidate, beta)
+            eta = np.where(s.spread(np.array(moved), s.row_sizes), candidate_eta, eta)
+        for j in range(len(at)):
+            if moved[j]:
+                deviance[j], objective[j] = candidate_dev[j], candidate_obj[j]
+                paths[at[j]].append(deviance[j])
+        converged = [ok and (not fine or c < opts.tolerance)
+                     for ok, fine, c in zip(solved, descent, change)]
+        done = [c or not ok or iterations == opts.max_iterations
+                for c, ok in zip(converged, solved)]
+        if not any(done):
+            continue
+        for j in range(len(at)):
+            if not done[j]:
+                continue
+            b = s.blocks[j]
+            result = FitResult(
+                coefficients=beta[s.columns[j]:s.columns[j] + s.p[j]].copy(),
+                log_likelihood=-deviance[j] / 2.0,
+                deviance=deviance[j],
+                iterations=iterations,
+                converged=converged[j],
+                l1_lambda=lam,
+                index=b.data.index,
+                stabilized=stabilized[j],
+                eta_cap=opts.eta_cap,
+                no_data_columns=b.no_data,
+                deviance_path=tuple(paths[at[j]]),
+            )
+            out[at[j]] = result if solved[j] else FitError(
+                "conjugate gradients did not solve the Newton system", result)
+        if all(done):
             break
-
-        change = (float(np.abs(candidate - beta).max(initial=0.0)) if penalized
-                  else abs(objective - candidate_obj) / max(objective, 1e-10))
-        beta, eta = candidate, candidate_eta
-        deviance, objective = candidate_dev, candidate_obj
-        path.append(deviance)
-        if change < opts.tolerance:
-            converged = True
-            break
-
-    result = FitResult(
-        coefficients=beta,
-        log_likelihood=-deviance / 2.0,
-        deviance=deviance,
-        iterations=iterations,
-        converged=converged,
-        l1_lambda=lam,
-        index=data.index,
-        stabilized=stabilized,
-        eta_cap=opts.eta_cap,
-        no_data_columns=no_data,
-        deviance_path=tuple(path),
-    )
-    if not solved:
-        raise FitError("conjugate gradients did not solve the Newton system", result)
-    return result
+        keep = np.logical_not(done)
+        beta, eta = beta[s.spread(keep, s.p)], eta[s.spread(keep, s.row_sizes)]
+        deviance, objective, stabilized, at = (
+            [v for v, gone in zip(values, done) if not gone]
+            for values in (deviance, objective, stabilized, at))
+        s = _Stack([b for b, gone in zip(s.blocks, done) if not gone])
+    return out
 
 
-def _cg(matrix, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve matrix x = rhs by Jacobi-preconditioned conjugate gradients.
+def _cg(matrix, diagonal: np.ndarray, rhs: np.ndarray,
+        stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each diagonal block of matrix x = rhs by Jacobi-preconditioned
+    conjugate gradients, the blocks of ``stack`` all at once.
 
-    Stops once the residual is within ``_SOLVE_TOLERANCE`` of |rhs|, or
-    after ``_SOLVE_STEPS_PER_COLUMN`` iterations per unknown; returns
-    the iterate and whether it met the bound.  ``matrix`` is symmetric
-    positive semidefinite with a positive diagonal.
+    Each block takes its own steps.  A block stops once its residual is
+    within ``_SOLVE_TOLERANCE`` of its |rhs|, or after
+    ``_SOLVE_STEPS_PER_COLUMN`` iterations per unknown, or at a direction
+    without positive curvature; from then on its step sizes are 0, so
+    none of its numbers moves.  Returns the iterate and whether each
+    block met its bound.  ``matrix`` is symmetric positive semidefinite
+    with the positive ``diagonal``, in CSR form.
     """
-    inv_diag = 1.0 / matrix.diagonal()
-    bound = _SOLVE_TOLERANCE ** 2 * (rhs @ rhs)  # on the squared residual norm
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    if r @ r <= bound:
-        return x, True
-    z = inv_diag * r
+    n, sizes, k = rhs.size, stack.sizes, stack.sizes.size
+    inv_diag = 1.0 / diagonal
+    x, r, z, md = np.zeros(n), rhs.copy(), inv_diag * rhs, np.empty(n)
     d = z.copy()
-    rz = r @ z
-    for _ in range(_SOLVE_STEPS_PER_COLUMN * rhs.size):
-        md = matrix @ d
-        curvature = d @ md
-        if not curvature > 0:
+    # per-block sums of products written to the halves of ``sums``, each
+    # followed by a 0 that empty blocks read: one reduceat gives r'r and r'z
+    sums = np.zeros(2 * n + 2)
+    first, second = sums[:n], sums[n + 1:-1]
+    np.multiply(r, r, out=first)
+    np.multiply(z, r, out=second)
+    both = np.add.reduceat(sums, stack.ends_twice)[::2]
+    rr, rz = both[:k], both[k:]
+    bound = _SOLVE_TOLERANCE ** 2 * rr  # on the squared residual norm
+    live = rr > bound
+    # a stopped block passes the curvature test and never meets the bound again
+    least = np.where(live, 0.0, -np.inf).tolist()
+    stop = np.where(live, bound, -1.0).tolist()
+    alpha, beta = np.zeros(k), np.zeros(k)
+    limits = _SOLVE_STEPS_PER_COLUMN * sizes
+    checks = set(limits.tolist())
+    # Md by the kernel behind ``matrix @ d``
+    matvec = partial(_sparsetools.csr_matvec, n, n, matrix.indptr, matrix.indices,
+                     matrix.data, d, md)
+    # the step sizes' ``where``: True, the cheaper, while every block runs
+    running = True if live.all() else live
+
+    def halt(blocks):
+        nonlocal running
+        live[blocks] = False
+        alpha[blocks] = beta[blocks] = 0.0
+        for j in np.flatnonzero(blocks).tolist():
+            least[j], stop[j] = -np.inf, -1.0
+        running = live
+        return live.any()
+
+    for step in range(max(checks) if live.any() else 0):
+        if step in checks and not halt(limits <= step):
             break
-        alpha = rz / curvature
-        x += alpha * d
-        r -= alpha * md
-        if r @ r <= bound:
-            return x, True
+        md.fill(0.0)
+        matvec()
+        np.multiply(d, md, out=first)
+        curvature = np.add.reduceat(sums[:n + 1], stack.ends)[::2]
+        if not all(map(float.__gt__, curvature.tolist(), least)):
+            if not halt(~(curvature > least)):
+                break
+        np.divide(rz, curvature, out=alpha, where=running)
+        step_size = stack.spread(alpha, sizes)
+        x += step_size * d
+        r -= step_size * md
         np.multiply(inv_diag, r, out=z)
-        rz, rz_old = r @ z, rz
-        d *= rz / rz_old
+        np.multiply(r, r, out=first)
+        np.multiply(z, r, out=second)
+        both = np.add.reduceat(sums, stack.ends_twice)[::2]
+        rr, rz_next = both[:k], both[k:]
+        if any(map(float.__le__, rr.tolist(), stop)) and not halt(rr <= stop):
+            break
+        np.divide(rz_next, rz, out=beta, where=running)
+        rz = rz_next
+        d *= stack.spread(beta, sizes)
         d += z
-    return x, False
+    return x, rr <= bound
 
 
 def _prox(hessian, g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:

@@ -182,18 +182,27 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
     with pytest.raises(mb.BootstrapError, match=r"10 of 10 .*\(10 did not converge\)"):
         mb.bootstrap_balance(d, B=10, opts=opts, min_games=6, seed=0)
 
-    calls = iter(range(10))
-    fit_irls = bt.fit_irls
+    # the draws' fits come as stacks from bt._fit_stacks: plant 3 FitErrors
+    # among the fits it hands on and 2 ValueErrors in the draws' designs
+    designs = iter(range(10))
+    build_design = bt.build_design
+    fit_stacks = bt._fit_stacks
 
-    def failing_fit(data, opts):
-        n = next(calls)
-        if n < 3:
-            raise FitError("planted")
-        if n < 5:
+    def failing_design(*args):
+        if next(designs) in (3, 4):
             raise ValueError("planted")
-        return fit_irls(data, opts)
+        return build_design(*args)
 
-    monkeypatch.setattr(bt, "fit_irls", failing_fit)
+    def failing_fits(designs, opts, use):
+        draws = iter(range(10))
+
+        def planted(data, fit):
+            return use(data, FitError("planted") if next(draws) < 3 else fit)
+
+        return fit_stacks(designs, opts, planted)
+
+    monkeypatch.setattr(bt, "build_design", failing_design)
+    monkeypatch.setattr(bt, "_fit_stacks", failing_fits)
     with pytest.raises(mb.BootstrapError,
                        match=r"5 of 10 .*\(3 raised FitError, 2 raised ValueError\)"):
         mb.bootstrap_balance(d, B=10, min_games=6, seed=0)
@@ -203,7 +212,7 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
                     reason="the planted draw reaches workers only by fork")
 def test_bootstrap_dead_worker_raises_bootstrap_error(monkeypatch):
     _, d = casual_base_league(84, n_pro_games=400, n_pros=8, casuals_per_race=6)
-    monkeypatch.setattr(bt, "_run_draw", lambda *args: os._exit(9))
+    monkeypatch.setattr(bt, "_run_draws", lambda *args: os._exit(9))
     with pytest.raises(mb.BootstrapError, match="worker process died"):
         mb.bootstrap_balance(d, B=4, min_games=6, seed=3, jobs=2)
     assert multiprocessing.active_children() == []
@@ -221,7 +230,7 @@ def test_bootstrap_error_paths_leave_no_worker(monkeypatch):
     def raising_draw(*args):
         raise ArithmeticError("planted")
 
-    monkeypatch.setattr(bt, "_run_draw", raising_draw)
+    monkeypatch.setattr(bt, "_run_draws", raising_draw)
     with pytest.raises(ArithmeticError, match="planted"):
         mb.bootstrap_balance(d, B=4, min_games=6, seed=0, jobs=2)
     assert multiprocessing.active_children() == []

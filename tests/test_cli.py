@@ -364,7 +364,7 @@ def test_report_requires_fit_and_marks_missing_sections(league_csv, tmp_path, ca
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the planted draw reaches workers only by fork")
 def test_bootstrap_dead_worker_exits_2(league_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(bt, "_run_draw", lambda *args: os._exit(9))
+    monkeypatch.setattr(bt, "_run_draws", lambda *args: os._exit(9))
     assert run("bootstrap", "balance", "--input", league_csv, "-B", 4, "--jobs", 2,
                "--min-games", 4, "--out", tmp_path / "bb") == 2
     assert "worker process died" in capsys.readouterr().err

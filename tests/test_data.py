@@ -72,6 +72,20 @@ def test_record_rejects_a_duration_the_columns_cannot_hold():
         MatchRecord(1, "A", "Terran", "B", "Zerg", "M", dt.date(2011, 1, 1), 2**63)
 
 
+@pytest.mark.parametrize("field", ["player1", "race1", "player2", "race2", "map_name"])
+@pytest.mark.parametrize("name, reason", [
+    ("", "is empty"), (" A", "leading or trailing whitespace"),
+    ("A ", "leading or trailing whitespace"), ("\tA\r\n", "leading or trailing whitespace")])
+def test_record_rejects_a_name_that_csv_cannot_carry(field, name, reason):
+    # parsing strips every cell and rejects an empty name, so such a
+    # record would not come back from dataset_to_csv
+    fields = dict(winner=1, player1="A", race1="Terran", player2="B", race2="Zerg",
+                  map_name="M", date=dt.date(2011, 1, 1), duration=1)
+    with pytest.raises(ValueError, match=f"^{field} ") as raised:
+        MatchRecord(**{**fields, field: name})
+    assert str(raised.value).endswith(reason)
+
+
 def test_parse_rejects_duplicate_header():
     with pytest.raises(mb.ParseError, match="duplicate header"):
         mb.parse_matches(f"{HEADER}\n{HEADER}\n")

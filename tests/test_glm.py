@@ -150,7 +150,8 @@ def test_fit_irls_matches_the_dense_newton_oracle():
 def test_fit_irls_raises_when_conjugate_gradients_fail(monkeypatch):
     d = pinned_small_league(3001)
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=3))
-    monkeypatch.setattr(glm, "_cg", lambda matrix, rhs: (0 * rhs, False))
+    monkeypatch.setattr(glm, "_cg", lambda matrix, diagonal, rhs, stack: (
+        0 * rhs, np.zeros(stack.sizes.size, bool)))
     with pytest.raises(mb.FitError, match="did not solve the Newton system") as raised:
         mb.fit_irls(data)
     assert raised.value.result.iterations == 1

@@ -203,6 +203,7 @@ pads = st.text(alphabet=[" ", "\t", "\r", "\n"], max_size=2)
 
 @st.composite
 def padded_games(draw):
+    """CSV cells of games whose names carry padding, and the games they parse to."""
     names = draw(st.lists(cores, min_size=2, max_size=6, unique=True))
     maps = draw(st.lists(cores, min_size=1, max_size=3, unique=True))
     races = [*RACES, "random", "Random"]
@@ -210,15 +211,26 @@ def padded_games(draw):
     def pad(name):
         return draw(pads) + name + draw(pads)
 
-    games = []
+    rows, games = [], []
     for _ in range(draw(st.integers(1, 12))):
         a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
-        games.append(MatchRecord(
-            draw(st.integers(0, 1)), pad(a), pad(draw(st.sampled_from(races))), pad(b),
-            pad(draw(st.sampled_from(races))), pad(draw(st.sampled_from(maps))),
+        game = MatchRecord(
+            draw(st.integers(0, 1)), a, draw(st.sampled_from(races)), b,
+            draw(st.sampled_from(races)), draw(st.sampled_from(maps)),
             draw(st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))),
-            draw(st.integers(0, 2**63 - 1))))
-    return games
+            draw(st.integers(0, 2**63 - 1)))
+        rows.append([game.winner, pad(game.player1), pad(game.race1), pad(game.player2),
+                     pad(game.race2), pad(game.map_name), game.date.isoformat(),
+                     game.duration])
+        games.append(game)
+    return rows, games
+
+
+def padded_csv(rows):
+    """The CSV text of rows of cells, every cell quoted, so padding stays inside."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([CSV_HEADER, *rows])
+    return buf.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -231,14 +243,13 @@ def test_text_is_read_in_blocks_as_one_stringio_reads_it(text, block):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(padded_games(), st.sampled_from([1, 2, 3, 4096]))
-def test_csv_round_trip_strips_padding_and_keeps_everything_else(games, chunk):
-    stripped = Dataset.from_records(
-        MatchRecord(g.winner, g.player1.strip(), g.race1.strip(), g.player2.strip(),
-                    g.race2.strip(), g.map_name.strip(), g.date, g.duration) for g in games)
-    text = mb.dataset_to_csv(Dataset.from_records(games))
+def test_csv_round_trip_strips_padding_and_keeps_everything_else(padded, chunk):
+    rows, games = padded
+    stripped = Dataset.from_records(games)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_CHUNK_ROWS", chunk)
         patch.setattr(data, "_BLOCK_CHARS", chunk)
-        got = parses_as_oracle(text)
-    assert_same_dataset(got, stripped)
-    assert got.records == stripped.records
+        for text in (padded_csv(rows), mb.dataset_to_csv(stripped)):
+            got = parses_as_oracle(text)
+            assert_same_dataset(got, stripped)
+            assert got.records == stripped.records

@@ -11,9 +11,12 @@ give the per-row X'WX, score and deviance.  The fit keeps swap symmetry
 of the fitted probabilities, does not change in any bit when the
 records are reordered, and entering every game twice doubles its
 deviance and nothing else.  A fit survives its JSON artifact bit for
-bit.
+bit.  A design fitted in a stack with others, in any order, gives every
+bit of the fit it gives alone, also beside designs that are stabilized,
+run to the iteration limit or fail to solve.
 """
 import datetime as dt
+import functools
 import json
 from dataclasses import replace
 
@@ -25,7 +28,9 @@ from hypothesis import strategies as st
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.design import _encode, _nullity
-from matchbalance.glm import fit_from_obj, fit_to_obj, sigmoid
+from matchbalance import glm
+from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
+from helpers import pinned_small_league
 from matchbalance.jsonio import dumps
 from oracles import (
     dense_newton_fit,
@@ -311,3 +316,90 @@ def test_fit_survives_its_json_artifact(d, m, identifiable):
     floats = [obj["fit"][key] for key in ("log_likelihood", "deviance", "eta_cap", "l1_lambda")]
     floats += [e["estimate"] for e in obj["players"] + obj["matchups"]]
     assert all(type(x) is float for x in floats)
+
+
+def _rec(winner, player1, race1, player2, race2, i=0, map_name="Antiga"):
+    return MatchRecord(winner, player1, race1, player2, race2, map_name,
+                       dt.date(2011, 1, 1), 600 + i)
+
+
+# two players, thirteen games: its first Newton step is halved
+HALVED = [(1, "b", "Terran", "a", "Protoss", 0), (0, "b", "Terran", "a", "Protoss", 0),
+          (1, "b", "Protoss", "a", "Protoss", 0), (1, "a", "Protoss", "b", "Protoss", 0),
+          (0, "b", "Zerg", "a", "Zerg", 0), (1, "b", "Protoss", "a", "Protoss", 0),
+          (1, "b", "Protoss", "a", "Zerg", 1), (1, "a", "Zerg", "b", "Zerg", 0),
+          (1, "b", "Protoss", "a", "Terran", 0), (1, "a", "Terran", "b", "Protoss", 0),
+          (1, "b", "Protoss", "a", "Protoss", 1), (1, "a", "Zerg", "b", "Protoss", 1),
+          (1, "a", "Zerg", "b", "Zerg", 0)]
+
+
+STACK_OPTS = mb.FitOptions(max_iterations=20)
+
+
+@functools.cache
+def companions():
+    """Designs fitted beside each random one: stabilized, with unobserved
+    matchup columns, running to ``STACK_OPTS.max_iterations``, one whose
+    Newton step is halved, and one whose conjugate gradients are planted
+    to fail (``planted_cg``)."""
+    pinned = pinned_small_league(3001)
+    no_pvz = Dataset.from_records(r for r in pinned.records
+                                  if {r.race1, r.race2} != {"Protoss", "Zerg"})
+    # a beats b beats c beats d: separated, so the deviance falls toward 0
+    chain = Dataset.from_records(_rec(1, p, "Terran", q, "Terran", i) for i in range(2)
+                                 for p, q in (("a", "b"), ("b", "c"), ("c", "d")))
+    halved = Dataset.from_records(_rec(*game[:5], i, map_name=f"M{game[5]}")
+                                  for i, game in enumerate(HALVED))
+    return [encode(pinned, 1)[1], encode(no_pvz, 3)[1], encode(chain, 1)[1],
+            encode(halved, 1)[1], encode(pinned_small_league(3002), 3)[1]]
+
+
+def planted_cg(fails, at_solve):
+    """``glm._cg`` whose block of the design ``fails`` reports failure on its
+    ``at_solve``-th solve; ``solves`` counts them and is reset per fit."""
+    cg = glm._cg
+    solves = [0]
+
+    def planted(matrix, diagonal, rhs, stack):
+        x, solved = cg(matrix, diagonal, rhs, stack)
+        for j, block in enumerate(stack.blocks):
+            if block.data is fails:
+                solves[0] += 1
+                solved[j] &= solves[0] != at_solve
+        return x, solved
+
+    return planted, solves
+
+
+def fit_fields(fit):
+    """Everything a stacked fit must reproduce bit for bit."""
+    failed = isinstance(fit, FitError)
+    fit = fit.result if failed else fit
+    return (failed, fit.coefficients.tobytes(), fit.deviance.hex(),
+            tuple(x.hex() for x in fit.deviance_path), fit.iterations, fit.converged,
+            fit.stabilized, fit.no_data_columns)
+
+
+@encoder_settings
+@given(st.one_of(datasets, leagues()), min_games, st.permutations(range(6)))
+def test_a_design_fits_the_same_alone_and_in_any_stack(d, m, order):
+    designs = [encode(d, m)[1], *companions()]
+    planted, solves = planted_cg(designs[-1], at_solve=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(glm, "_cg", planted)
+        alone = []
+        for design in designs:
+            solves[0] = 0
+            alone += glm._fit_stacks([design], STACK_OPTS, lambda data, fit: fit)
+        solves[0] = 0
+        stacked = glm._fit_stacks([designs[i] for i in order], STACK_OPTS,
+                                  lambda data, fit: fit)
+    # the companions are what they claim to be
+    stabilized, unobserved, separated, halved, failing = alone[1:]
+    assert stabilized.stabilized and stabilized.converged
+    assert unobserved.no_data_columns and not unobserved.stabilized and unobserved.converged
+    assert separated.iterations == STACK_OPTS.max_iterations and not separated.converged
+    assert halved.converged and not halved.stabilized
+    assert isinstance(failing, FitError) and failing.result.iterations == 2
+    for i, fit in zip(order, stacked):
+        assert fit_fields(fit) == fit_fields(alone[i])
