@@ -1,12 +1,17 @@
 """Case-resampling bootstrap over match records.
 
-Each draw is a :func:`resample` of the dataset, a row take of its
-integer-coded columns that builds no record.  The draw is indexed
-afresh (so the anchored set can change with the resampled game counts),
-encoded, refitted, and aggregated into the per-race-pair mean balance
-statistic or the dispersion estimate.  Draw
-``b`` of master seed ``s`` uses ``numpy.random.SeedSequence((s, b))``,
-so results never depend on ``jobs`` or on execution order.
+Each draw picks the games of a :func:`resample` of the dataset, from
+the same random stream, but takes no rows: it counts the games and wins
+it holds on each of the dataset's distinct coded rows, found once per
+dataset (``design._counted_design``).  The draw is indexed afresh from
+those counts (so the anchored set can change with the resampled game
+counts), its rows that hold games are encoded once each, and it is
+refitted and aggregated into the per-race-pair mean balance statistic
+or the dispersion estimate, whose sum runs over the drawn games in draw
+order.  Every bit equals that of resampling the records and refitting.
+Draw ``b`` of master seed ``s`` uses
+``numpy.random.SeedSequence((s, b))``, so results never depend on
+``jobs`` or on execution order.
 
 The draws' designs are fitted together, as stacks (``glm._fit_stacks``):
 each Newton step makes one assembly and each conjugate-gradient step
@@ -15,7 +20,8 @@ one sparse product for all of them, and a draw's fit is bitwise the one
 fits one contiguous chunk of the draws, because the fits hold the
 interpreter lock; with ``jobs=1`` the calling process fits them all.
 Workers are forked where the platform allows, so they inherit the
-dataset instead of receiving a pickled copy; each one still adds its own
+dataset and its distinct coded rows, which the caller finds before the
+fork, instead of receiving a pickled copy; each one still adds its own
 memory as it writes.  On Python 3.12 and later, forking from a caller that runs
 other threads emits a ``DeprecationWarning``.  Every call starts its
 workers and stops them before it returns, also when it raises.
@@ -30,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset
-from .design import CANONICAL_PAIRS, build_design, build_parameter_index
+from .design import CANONICAL_PAIRS, _counted_design
 from .diagnostics import pearson_dispersion
 from .glm import FitError, FitOptions, FitResult, _fit_stacks
 
@@ -72,9 +78,14 @@ class BootstrapSummary:
 
 def resample(d: Dataset, rng: np.random.Generator) -> Dataset:
     """Draw len(d) records uniformly with replacement, as a row take of ``d``."""
+    return d._take(_draw(d, rng))
+
+
+def _draw(d: Dataset, rng: np.random.Generator) -> np.ndarray:
+    """The rows of a draw of len(d) games uniformly with replacement."""
     if not len(d):
         raise ValueError("cannot resample an empty dataset")
-    return d._take(rng.integers(0, len(d), size=len(d)))
+    return rng.integers(0, len(d), size=len(d))
 
 
 def aggregate_balance(fit: FitResult) -> BalanceStatistic:
@@ -111,10 +122,12 @@ def _run_draws(d, opts, min_games, seed, statistic, draws: range) -> list:
 
 
 def _draw_design(d, min_games, seed, b):
-    """Draw ``b``'s design, or None when it cannot be indexed or encoded."""
-    sample = resample(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
+    """Draw ``b``'s design, as the game counts of ``resample``'s draw on the
+    dataset's distinct coded rows, or None when it cannot be indexed or
+    encoded."""
+    picked = _draw(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
     try:
-        return build_design(sample, build_parameter_index(sample, min_games))
+        return _counted_design(d, picked, min_games)
     except ValueError:
         return None
 
@@ -182,6 +195,7 @@ def _draws(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
     More than 20% failures raises :class:`BootstrapError`, whose message
     counts the failures by cause.
     """
+    d._coded  # the distinct coded rows, once, before any worker forks
     run = partial(_run_draws, d, opts, min_games, seed, statistic)
     workers = min(jobs, B)
     results = _map_in_processes(run, B, workers) if workers > 1 else run(range(B))

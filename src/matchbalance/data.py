@@ -9,7 +9,8 @@ dates are strictly ``YYYY-MM-DD`` and durations are integer seconds.
 A :class:`Dataset` stores the games as integer-coded columns.  Parsing,
 simulation and :meth:`Dataset.from_records` build it through one column
 coder, which gives names codes as they arrive and sorts each name table
-at the end; filtering, bootstrap draws and CV folds are row takes of it.
+at the end; filtering is a row take of it, and bootstrap draws and CV
+folds count games on its distinct coded rows (``Dataset._coded``).
 A :class:`MatchRecord` is a row view, built only when asked for.
 
 :func:`parse_matches` reads the CSV a chunk of rows at a time.  Each
@@ -167,6 +168,23 @@ class Dataset:
                    decode(self._maps, m),
                    decode([date(o) for o in days.tolist()], day),
                    self._durations.tolist())
+
+    @cached_property
+    def _coded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct coded rows (player1, player2, race1, race2, map), in
+        sorted order, each game's row among them, and each game's winner.
+
+        A bootstrap draw or a CV fold is counts on these rows."""
+        codes = self._rows[:, :5]
+        order = np.lexsort(codes.T[::-1])
+        first = np.zeros(len(codes), bool)  # where, in sorted order, a distinct row starts
+        first[:1] = True
+        for column in codes.T:  # one column at a time, to hold no sorted copy
+            ordered = column[order]
+            first[1:] |= ordered[1:] != ordered[:-1]
+        label = np.empty(len(codes), np.intp)
+        label[order] = np.cumsum(first) - 1
+        return codes[order[first]], label, self._rows[:, 5]
 
     @cached_property
     def records(self) -> tuple[MatchRecord, ...]:

@@ -15,12 +15,16 @@ per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
 Both steps are array operations on a dataset's integer-coded columns,
-so a bootstrap draw or a cross-validation fold, a row take of those
-columns, is indexed and encoded without building a record.  The fit
-works on the design's distinct rows up to sign, each with its game and
-win counts (``EncodedDataset._distinct``).  How many directions the
-anchoring leaves unidentified follows from the design's structure
-alone (``_nullity``), which the fit reads once.
+and the fit works on the design's distinct rows up to sign, each with
+its game and win counts (``_merge``).  A bootstrap draw or a
+cross-validation training fold takes no rows: it is a game count and a
+win count on each of the dataset's distinct coded rows (player1,
+player2, race1, race2, map; ``Dataset._coded``), and the rows it holds
+are indexed, each with its games, encoded once each, and merged with
+their counts summed (``_counted_design``).  That gives every bit of the
+index and the distinct rows of the same games taken row by row.  How
+many directions the anchoring leaves unidentified follows from the
+design's structure alone (``_nullity``), which the fit reads once.
 """
 
 from __future__ import annotations
@@ -104,15 +108,23 @@ def build_parameter_index(
     by lexicographically smallest id.  Matchup columns are created for
     every (map, canonical pair) combination, observed or not.
     """
-    if not len(d):
+    return _index(d, d._rows, None, min_games, ensure_identifiable)
+
+
+def _index(d: Dataset, rows: np.ndarray, m: np.ndarray | None, min_games: int,
+           ensure_identifiable: bool = True) -> ParameterIndex:
+    """The index of the games on the coded ``rows`` of ``d`` (player1,
+    player2, race1, race2, map, ...), row i holding m[i] games, or one
+    each when ``m`` is None: :func:`build_parameter_index`'s body."""
+    if not len(rows):
         raise ValueError("cannot index an empty dataset")
     if min_games < 1:
         raise ValueError(f"min_games must be a positive integer, got {min_games}")
-    games = d._games()
+    size = len(d._players)
+    games = np.bincount(rows[:, 0], m, size) + np.bincount(rows[:, 1], m, size)
     live = np.flatnonzero(games)  # codes of the players present, in id order
-    pairs = (d._rows[:, 0], d._rows[:, 1])
-    graph = scipy.sparse.coo_array((np.ones(len(d)), pairs),
-                                   shape=(len(games), len(games)))
+    graph = scipy.sparse.coo_array((np.ones(len(rows)), (rows[:, 0], rows[:, 1])),
+                                   shape=(size, size))
     labels = connected_components(graph, directed=False)[1][live]
     _, component = np.unique(labels, return_inverse=True)  # numbered 0, 1, ...
     sizes = np.bincount(component)
@@ -127,7 +139,7 @@ def build_parameter_index(
     names = np.array(d._players, dtype=object)[live]
     groups = np.split(names[np.argsort(component, kind="stable")], np.cumsum(sizes)[:-1])
     return _layout(names[~anchored].tolist(), names[anchored].tolist(),
-                   [d._maps[m] for m in np.unique(d._rows[:, 4]).tolist()],
+                   [d._maps[code] for code in np.unique(rows[:, 4]).tolist()],
                    sorted(groups, key=min))
 
 
@@ -179,43 +191,88 @@ class EncodedDataset:
 
     @cached_property
     def _distinct(self) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
-        """The distinct rows up to sign, with their game and win counts.
+        """The distinct rows up to sign, with their game and win counts:
+        :func:`_merge` of the rows, each one game won ``response`` times."""
+        return _merge(self.X, np.ones(self.n), self.response)
 
-        Each row is oriented so that its first (lowest-column) entry is
-        +1, its outcome flipped with it, and rows equal after orienting
-        are merged: X' diag(w) X over the games is then X' diag(m w) X
-        over these rows.  Returns their (r, p) CSR matrix, in the order
-        of an integer key per row (three base-(2p + 2) digits, one per
-        signed entry, in an int64, so p can reach about a million), the
-        number m of games per row and the number k of those its oriented
-        player1 won, both as floats.  Empty rows (same-race games between anchored players)
-        merge into one row with no entries.  Neither the order of the
-        games nor entering each one twice moves any bit of the rows.
-        """
-        X, p = self.X, self.p
-        start, length = X.indptr[:-1], np.diff(X.indptr)
-        # 1-based signed column per entry, then a 0 that rows shorter than 3 read
-        signed = np.append(np.where(X.data > 0, X.indices + 1, -1 - X.indices), 0)
-        orient = np.where((length > 0) & (signed.take(start, mode="clip") < 0), -1, 1)
-        base = 2 * p + 2
-        if base ** 3 > np.iinfo(np.int64).max:
-            raise ValueError(f"{p} columns are too many for the design's row keys")
-        key = np.zeros(len(start), np.int64)
-        for j in range(3):
-            key = key * base + np.where(
-                length > j, signed.take(start + j, mode="clip") * orient + (p + 1), 0)
-        won = np.where(orient > 0, self.response, 1 - self.response)
-        keys, row = np.unique(key, return_inverse=True)
-        games = np.bincount(row).astype(float)
-        wins = np.bincount(row, weights=won, minlength=len(keys))
-        digits = np.stack([keys // base ** 2, keys // base % base, keys % base], axis=1)
-        present = digits > 0
-        entries = digits[present] - (p + 1)
-        indptr = np.r_[0, np.cumsum(present.sum(axis=1))].astype(np.intc)
-        rows = scipy.sparse.csr_array(
-            (np.sign(entries).astype(float), (np.abs(entries) - 1).astype(np.intc), indptr),
-            shape=(len(keys), p))
-        return rows, games, wins
+
+@dataclass(frozen=True, eq=False)
+class _CountedDesign:
+    """The design of n games held as counts on their distinct coded rows.
+
+    ``X`` has a row per coded row that holds a game; ``games`` and
+    ``wins`` count the row's games and its player1's wins among them;
+    ``row`` and ``response`` give each game's row of ``X`` and outcome, in
+    game order.  Where the fit (``_distinct``), the prediction path and
+    the dispersion read a design, it reads as the EncodedDataset of those
+    games, bit for bit.
+    """
+
+    X: scipy.sparse.csr_array
+    games: np.ndarray
+    wins: np.ndarray
+    row: np.ndarray
+    response: np.ndarray
+    index: ParameterIndex
+
+    @property
+    def n(self) -> int:
+        return len(self.row)
+
+    @property
+    def p(self) -> int:
+        return self.index.p
+
+    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
+        return (self.X @ beta)[self.row]
+
+    @cached_property
+    def _distinct(self) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
+        return _merge(self.X, self.games, self.wins)
+
+
+def _merge(X: scipy.sparse.csr_array, games: np.ndarray,
+           wins: np.ndarray) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
+    """The distinct rows of ``X`` up to sign, with their game and win
+    counts, given the ``games`` and ``wins`` of each row of ``X``.
+
+    Each row is oriented so that its first (lowest-column) entry is +1,
+    its wins becoming its losses where that flips it, and rows equal
+    after orienting are merged, their counts summed: X' diag(w) X over
+    the games is then X' diag(m w) X over these rows.  Returns their
+    (r, p) CSR matrix, in the order of an integer key per row (three
+    base-(2p + 2) digits, one per signed entry, in an int64, so p can
+    reach about a million), the number m of games per row and the number
+    k of those its oriented player1 won, both as floats.  Empty rows
+    (same-race games between anchored players) merge into one row with
+    no entries.  The counts are whole numbers, so every sum is exact:
+    neither the order of the rows nor how their games are split among
+    equal rows moves any bit of the result.
+    """
+    p = X.shape[1]
+    start, length = X.indptr[:-1], np.diff(X.indptr)
+    # 1-based signed column per entry, then a 0 that rows shorter than 3 read
+    signed = np.append(np.where(X.data > 0, X.indices + 1, -1 - X.indices), 0)
+    orient = np.where((length > 0) & (signed.take(start, mode="clip") < 0), -1, 1)
+    base = 2 * p + 2
+    if base ** 3 > np.iinfo(np.int64).max:
+        raise ValueError(f"{p} columns are too many for the design's row keys")
+    key = np.zeros(len(start), np.int64)
+    for j in range(3):
+        key = key * base + np.where(
+            length > j, signed.take(start + j, mode="clip") * orient + (p + 1), 0)
+    won = np.where(orient > 0, wins, games - wins)
+    keys, row = np.unique(key, return_inverse=True)
+    games = np.bincount(row, weights=games, minlength=len(keys))
+    wins = np.bincount(row, weights=won, minlength=len(keys))
+    digits = np.stack([keys // base ** 2, keys // base % base, keys % base], axis=1)
+    present = digits > 0
+    entries = digits[present] - (p + 1)
+    indptr = np.r_[0, np.cumsum(present.sum(axis=1))].astype(np.intc)
+    rows = scipy.sparse.csr_array(
+        (np.sign(entries).astype(float), (np.abs(entries) - 1).astype(np.intc), indptr),
+        shape=(len(keys), p))
+    return rows, games, wins
 
 
 def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
@@ -240,15 +297,26 @@ def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
 
 
 def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
-    """Encode a dataset's coded rows, in order, into the CSR design.
+    """Encode a dataset's games, in order, into the CSR design.
+
+    The caller has checked the race tags (``_check``).
+    """
+    X = _design_matrix(d, d._rows, idx)
+    return EncodedDataset(X, d._rows[:, 5].astype(np.int8), idx)
+
+
+def _design_matrix(d: Dataset, rows: np.ndarray,
+                   idx: ParameterIndex) -> scipy.sparse.csr_array:
+    """The CSR design of the coded ``rows`` of ``d`` (player1, player2,
+    race1, race2, map, ...), in order.
 
     Each row has a player1, a player2 and a matchup slot holding a
     column, or -1 when the slot has no entry; the slots with a column
     are the COO triplets (row, column, sign).  Players and maps the
     index does not know contribute nothing, as anchored players do.
-    The caller has checked the race tags (``_check``).
+    Race codes must be those of RACES.
     """
-    p1, p2, r1, r2, m, winner = d._rows.T
+    p1, p2, r1, r2, m = rows[:, :5].T
     player = np.array([idx.player_columns.get(p, -1) for p in d._players], np.intc)
     matchup = np.array([[idx.matchup_columns.get((name, pair), -1)
                          for pair in CANONICAL_PAIRS] for name in d._maps],
@@ -262,7 +330,34 @@ def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     X = scipy.sparse.csr_array((signs[present].astype(float), slots[present], indptr),
                                shape=(len(slots), idx.p))
     X.sort_indices()
-    return EncodedDataset(X, winner.astype(np.int8), idx)
+    return X
+
+
+def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> _CountedDesign:
+    """The games of ``d`` at ``picked`` (row indices, which may repeat), as
+    game and win counts on d's distinct coded rows (``Dataset._coded``),
+    indexed and encoded.
+
+    For s = d._take(picked) this is build_design(s, build_parameter_index(s,
+    min_games)) to the bit, without the take: rows that hold no game drop
+    out, the index counts each row's games, and the distinct-row merge
+    sums them.  A game with an unrecognized race tag raises an
+    EncodingError, as build_design would; the caller that wants the
+    message naming the record checks ``d`` once (``_check``).
+    """
+    coded, label, winner = d._coded
+    drawn, won = label[picked], winner[picked]
+    m = np.bincount(drawn, minlength=len(coded))
+    kept = np.flatnonzero(m)
+    rows, m = coded[kept], m[kept]
+    if (rows[:, 2:4] >= len(RACES)).any():
+        raise EncodingError("a game has an unrecognized race tag")
+    idx = _index(d, rows, m, min_games)
+    position = np.zeros(len(coded), np.intp)
+    position[kept] = np.arange(len(kept))
+    return _CountedDesign(_design_matrix(d, rows, idx), m.astype(float),
+                          np.bincount(drawn, weights=won, minlength=len(coded))[kept],
+                          position[drawn], won, idx)
 
 
 def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _check, _encode, build_parameter_index
+from .design import EncodedDataset, _check, _counted_design, _encode
 from .glm import (FitError, FitOptions, FitResult, _accuracy, _cv_folds, _fit_stacks,
                   chi_square_sf)
 
@@ -144,10 +144,9 @@ def k_fold_cv(
     fits run together, as stacks (``glm._fit_stacks``).
     """
     folds = _cv_folds(len(d), k, seed)
-    _check(d)  # race tags, once: every fold is a row take of d
+    _check(d)  # race tags, once: every fold's games are games of d
 
-    trains = (d._take(train_rows) for train_rows, _ in folds)
-    designs = (_encode(train, build_parameter_index(train, min_games)) for train in trains)
+    designs = (_counted_design(d, train_rows, min_games) for train_rows, _ in folds)
 
     def trained(data, fit):  # what the test rows need, and no design
         if isinstance(fit, FitError):

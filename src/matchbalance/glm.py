@@ -251,11 +251,12 @@ class _Block:
         if data.n == 0:
             raise ValueError("cannot fit an empty dataset")
         self.data = data
-        counts = data.column_counts()
+        X, self.games, self.wins = data._distinct
+        # a column holds data where one of the distinct rows has an entry
+        counts = np.bincount(X.indices, minlength=data.p)
         self.active = np.flatnonzero(counts > 0)
         self.no_data = tuple(int(c) for c in np.flatnonzero(counts == 0))
         self.players = int(np.searchsorted(self.active, len(data.index.player_columns)))
-        X, self.games, self.wins = data._distinct
         self.X = X[:, self.active] if self.no_data else X
 
 
@@ -285,8 +286,11 @@ class _Stack:
         n = self.Xt.shape[0]
         self.gram_nnz = _sparsetools.csr_matmat_maxnnz(
             n, n, self.Xt.indptr, self.Xt.indices, self.X.indptr, self.X.indices)
-        self.games = np.concatenate([b.games for b in blocks])
-        self.wins = np.concatenate([b.wins for b in blocks])
+        if len(blocks) == 1:  # a block's own vectors, not copies
+            self.games, self.wins = blocks[0].games, blocks[0].wins
+        else:
+            self.games = np.concatenate([b.games for b in blocks])
+            self.wins = np.concatenate([b.wins for b in blocks])
 
     def gram(self) -> scipy.sparse.csr_array:
         """X'WX for the current ``weighted`` = WX, by the kernel behind
@@ -390,10 +394,13 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
             diagonal = hessian.diagonal()
             if iterations == 1:
                 # every weight is m/4 at beta = 0, so this X'WX is X'MX / 4
-                stabilized = [
-                    _nullity(b.X, b.X.T.tocsr(), b.players, hessian if len(s.blocks) == 1
-                             else hessian[lo:lo + b.active.size, lo:lo + b.active.size]) > 0
-                    for lo, b in zip(_starts(s.sizes).tolist(), s.blocks)]
+                if len(s.blocks) == 1:  # the stack's transpose and X'WX are the block's
+                    stabilized = [_nullity(s.X, s.Xt, s.blocks[0].players, hessian) > 0]
+                else:
+                    stabilized = [
+                        _nullity(b.X, b.X.T.tocsr(), b.players,
+                                 hessian[lo:lo + b.active.size, lo:lo + b.active.size]) > 0
+                        for lo, b in zip(_starts(s.sizes).tolist(), s.blocks)]
             if any(stabilized):
                 diagonal *= s.spread(np.where(stabilized, 1.0 + LAST_RESORT_RIDGE, 1.0),
                                      s.sizes)

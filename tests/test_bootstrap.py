@@ -185,13 +185,13 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
     # the draws' fits come as stacks from bt._fit_stacks: plant 3 FitErrors
     # among the fits it hands on and 2 ValueErrors in the draws' designs
     designs = iter(range(10))
-    build_design = bt.build_design
+    counted_design = bt._counted_design
     fit_stacks = bt._fit_stacks
 
     def failing_design(*args):
         if next(designs) in (3, 4):
             raise ValueError("planted")
-        return build_design(*args)
+        return counted_design(*args)
 
     def failing_fits(designs, opts, use):
         draws = iter(range(10))
@@ -201,7 +201,7 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
 
         return fit_stacks(designs, opts, planted)
 
-    monkeypatch.setattr(bt, "build_design", failing_design)
+    monkeypatch.setattr(bt, "_counted_design", failing_design)
     monkeypatch.setattr(bt, "_fit_stacks", failing_fits)
     with pytest.raises(mb.BootstrapError,
                        match=r"5 of 10 .*\(3 raised FitError, 2 raised ValueError\)"):
@@ -259,3 +259,34 @@ def test_bootstrap_draws_equal_the_record_pipeline():
         expected.append(mb.aggregate_balance(fit).per_pair)
     assert summary.failed == 0
     assert summary.draws == expected
+
+
+def test_bootstrap_dispersion_draws_equal_the_record_pipeline():
+    # each draw is game counts on the distinct coded rows, and its dispersion
+    # sums the games in draw order, so it equals resampling the records and refitting
+    _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
+    summary = mb.bootstrap_dispersion(d, B=10, min_games=6, seed=4)
+    expected = []
+    for b in range(10):
+        sample = resample_records(d, np.random.default_rng(np.random.SeedSequence((4, b))))
+        data = mb.build_design(sample, mb.build_parameter_index(sample, 6))
+        fit = mb.fit_irls(data)
+        assert fit.converged
+        expected.append(mb.pearson_dispersion(fit, data).phi)
+    assert summary.failed == 0
+    assert summary.draws == expected
+
+
+def test_bootstrap_draws_holding_an_unrecognized_race_tag_fail():
+    # as with building each draw's design: a draw fails exactly when it holds a
+    # game with a race tag outside the three, and the others are refitted
+    _, d = casual_base_league(84, n_pro_games=400, n_pros=8, casuals_per_race=6)
+    records = list(d.records)
+    records[5] = replace(records[5], race1="Random")
+    raw = Dataset.from_records(records)
+    holding = [5 in np.random.default_rng(np.random.SeedSequence((3, b))).integers(
+        0, len(raw), size=len(raw)) for b in range(12)]
+    assert 0 < sum(holding) < 12
+    with pytest.raises(mb.BootstrapError,
+                       match=rf"{sum(holding)} of 12 .*\({sum(holding)} raised ValueError\)"):
+        mb.bootstrap_balance(raw, B=12, min_games=6, seed=3)

@@ -2,10 +2,10 @@
 
 Swapping the two sides of every game negates the design, reordering
 records reorders its rows, and a CSV round trip changes nothing.  Row
-takes of a dataset, as bootstrap draws and CV folds make them, index
-and encode exactly as the record-by-record oracle does, and filtering,
-summaries, id sets, records and equality of the columns agree with
-record loops.  The design's structural nullity equals its dense rank
+takes of a dataset, which repeat and omit rows as a bootstrap draw
+does, index and encode exactly as the record-by-record oracle does,
+and filtering, summaries, id sets, records and equality of the columns
+agree with record loops.  The design's structural nullity equals its dense rank
 deficiency.  The design's distinct rows with their game and win counts
 give the per-row X'WX, score and deviance.  The fit keeps swap symmetry
 of the fitted probabilities, does not change in any bit when the
@@ -13,7 +13,10 @@ records are reordered, and entering every game twice doubles its
 deviance and nothing else.  A fit survives its JSON artifact bit for
 bit.  A design fitted in a stack with others, in any order, gives every
 bit of the fit it gives alone, also beside designs that are stabilized,
-run to the iteration limit or fail to solve.
+run to the iteration limit or fail to solve.  Games picked from a
+dataset as counts on its distinct coded rows, as bootstrap draws and CV
+training folds are, give every bit of the index, the distinct rows and
+the no-data columns of the same games taken row by row.
 """
 import datetime as dt
 import functools
@@ -22,12 +25,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _encode, _nullity
+from matchbalance.design import _counted_design, _encode, _nullity
 from matchbalance import glm
 from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
 from helpers import pinned_small_league
@@ -169,6 +172,56 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
         assert str(raised.value) == str(exc)
     else:
         assert_same_design(mb.build_design(Dataset.from_records(test), idx), expected)
+
+
+def draw_cases(d, take, idx, expected, m):
+    """The cases a counted draw must get right, each with whether this draw holds it."""
+    full = mb.build_parameter_index(d, m)
+    counts, drawn = mb.games_per_player(d), mb.games_per_player(take)
+    component = {p: i for i, c in enumerate(idx.components) for p in c}
+    return {
+        "a player anchored in the full data reaches min_games":
+            any(counts[p] < m <= n for p, n in drawn.items()),
+        "the draw loses a map": take.maps < d.maps,
+        "a component splits": any(len({component[p] for p in c if p in component}) > 1
+                                  for c in full.components),
+        "same-race games between anchored players give empty rows":
+            bool((np.diff(expected.X.indptr) == 0).any()),
+    }
+
+
+@encoder_settings
+@given(leagues(), min_games, st.data())
+def test_counted_games_give_the_row_take_design(d, m, draw):
+    # a bootstrap draw or a CV training fold, as game counts on the dataset's
+    # distinct coded rows, gives every bit of the index, the distinct rows
+    # and the no-data columns of its row take; its rows repeat and omit games
+    rows = np.array(draw.draw(st.lists(st.integers(0, len(d) - 1), min_size=1,
+                                       max_size=2 * len(d))))
+    take = d._take(rows)
+    idx = mb.build_parameter_index(take, m)
+    expected = mb.build_design(take, idx)
+    for case, holds in draw_cases(d, take, idx, expected, m).items():
+        if holds:
+            event(case)
+
+    coded, label, winner = d._coded
+    assert np.array_equal(coded, np.unique(d._rows[:, :5], axis=0))
+    assert np.array_equal(coded[label], d._rows[:, :5]) and np.array_equal(winner, d._rows[:, 5])
+
+    counted = _counted_design(d, rows, m)
+    assert counted.index == idx
+    (X, games, wins), (X_take, games_take, wins_take) = counted._distinct, expected._distinct
+    assert X.shape == X_take.shape
+    for a, b in ((X.indptr, X_take.indptr), (X.indices, X_take.indices), (X.data, X_take.data),
+                 (games, games_take), (wins, wins_take)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert glm._Block(counted).no_data == tuple(
+        np.flatnonzero(expected.column_counts() == 0).tolist())
+    # read per game, it is the take's design
+    beta = np.random.default_rng(len(rows)).normal(0.0, 1.0, idx.p)
+    assert counted.linear_predictor(beta).tobytes() == expected.linear_predictor(beta).tobytes()
+    assert counted.n == expected.n and np.array_equal(counted.response, expected.response)
 
 
 def in_order(x):
