@@ -558,11 +558,20 @@ def _prox(hessian, g: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
     """
     scale = 1.0 / np.asarray(abs(hessian).sum(axis=1)).ravel()
     threshold = lam * scale
-    offset = hessian @ x + g  # the model's gradient at y is H y - offset
+    n = x.size
+    hy = np.empty(n)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        """H v, by the kernel behind ``hessian @ v``, into ``hy``."""
+        hy.fill(0.0)
+        _sparsetools.csr_matvec(n, n, hessian.indptr, hessian.indices, hessian.data, v, hy)
+        return hy
+
+    offset = product(x) + g  # the model's gradient at y is H y - offset
     z = y = x
     t = 1.0
-    for _ in range(_SOLVE_STEPS_PER_COLUMN * x.size):
-        u = y - scale * (hessian @ y - offset)
+    for _ in range(_SOLVE_STEPS_PER_COLUMN * n):
+        u = y - scale * (product(y) - offset)
         z_next = np.sign(u) * np.maximum(np.abs(u) - threshold, 0.0)
         move = z_next - z
         if (y - z_next) @ (move / scale) > 0:

@@ -12,7 +12,9 @@ sparse design for cross-validated prediction, a record-by-record
 index and encoder (counters, union-find, dict lookups) instead of the
 coded, vectorized ones, and a row-by-row CSV parser that keeps each row
 as a tuple and codes whole columns against sorted tables, instead of
-checking and coding chunks of columns as they are read.
+checking and coding chunks of columns as they are read, and synthetic
+leagues drawn one call of the generator per symbol and per game, instead
+of decoded from its raw words.
 """
 import csv
 import datetime as dt
@@ -38,6 +40,7 @@ from matchbalance.design import (
 )
 from matchbalance.glm import (LAST_RESORT_RIDGE, MAX_STEP_HALVINGS, FitOptions, fit_irls,
                              log_likelihood, score, sigmoid)
+from matchbalance.simulate import LeagueTruth, true_eta
 
 
 def gd_maximize(data, tol=1e-10, max_iter=100000):
@@ -472,3 +475,47 @@ def parse_matches_rowwise(source):
             raise ParseError(f"duration {dur_s!r} is too large for a 64-bit integer", line)
         rows.append((int(winner_s), p1, r1, p2, r2, map_name, ordinal, duration))
     return _rows_dataset(rows)
+
+
+def random_league_loop(n_players, n_maps, rng, *, skill_sd=1.0, matchup_sd=1.0,
+                       schedule="uniform"):
+    """``random_league`` with one generator call per skill, effect and race."""
+    players = [f"player_{i:03d}" for i in range(n_players)]
+    maps = [f"map_{j:02d}" for j in range(n_maps)]
+    skills = {p: float(rng.normal(0.0, skill_sd)) if skill_sd > 0 else 0.0
+              for p in players}
+    effects = {
+        (m, pair): float(rng.normal(0.0, matchup_sd)) if matchup_sd > 0 else 0.0
+        for m in maps
+        for pair in CANONICAL_PAIRS
+    }
+    races = {p: RACES[int(rng.integers(len(RACES)))] for p in players}
+    return LeagueTruth(skills, effects, races, schedule=schedule)
+
+
+def generate_loop(truth, n, rng):
+    """``generate`` one game at a time: choice, map, winner and duration
+    drawn by four generator calls, eta by ``true_eta``."""
+    players = sorted(truth.player_skills)
+    maps = truth.maps
+    if truth.schedule == "tournament_tail":
+        weights = 1.0 / np.arange(1, len(players) + 1) ** 2.0
+        weights /= weights.sum()
+    else:
+        weights = np.full(len(players), 1.0 / len(players))
+    start = dt.date(2024, 9, 1).toordinal()
+    span_days = 180
+    player1, player2, map_names, winners, durations = [], [], [], [], []
+    for _ in range(n):
+        i1, i2 = rng.choice(len(players), size=2, replace=False, p=weights)
+        p1, p2 = players[i1], players[i2]
+        map_name = maps[int(rng.integers(len(maps)))]
+        player1.append(p1)
+        player2.append(p2)
+        map_names.append(map_name)
+        winners.append(int(rng.random() < sigmoid(true_eta(truth, p1, p2, map_name))))
+        durations.append(int(rng.integers(300, 3601)))
+    return Dataset._from_columns(
+        player1, player2, [truth.race_of[p] for p in player1],
+        [truth.race_of[p] for p in player2], map_names, winners,
+        start + (np.arange(n) * span_days) // max(n, 1), durations)

@@ -1,10 +1,55 @@
+"""Synthetic leagues: their shape, their truth, and that ``generate`` and
+``random_league`` draw every bit the per-game and per-symbol loops in
+``oracles`` draw, leaving the generator in the same state.
+
+``generate`` decodes numpy's ``choice``, ``integers`` and ``random``
+from the bit generator's raw words, which is numpy's implementation,
+not its documented contract.  If a numpy release changes either, the
+replay tests here fail.
+"""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matchbalance as mb
-from matchbalance.simulate import LeagueTruth
+from matchbalance import simulate
+from matchbalance.simulate import SCHEDULES, LeagueTruth
 from helpers import casual_base_league
-from oracles import encode_row
+from oracles import encode_row, generate_loop, random_league_loop
+
+# fixed examples, so every run checks the same cases
+replay_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_same_games(rng, loop, truth, n):
+    """``generate`` on ``rng`` and the per-game loop on ``loop``, two
+    generators in one state, give the same columns and tables and leave
+    the same state, the cache flag and cached half included."""
+    assert rng.bit_generator.state == loop.bit_generator.state
+    d, expected = mb.generate(truth, n, rng), generate_loop(truth, n, loop)
+    for name in ("_players", "_maps", "_races", "filter_log"):
+        assert getattr(d, name) == getattr(expected, name)
+    for name in ("_rows", "_dates", "_durations"):
+        got, want = getattr(d, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == loop.bit_generator.state
+
+
+@st.composite
+def truths(draw):
+    """A hand-built truth: any names, 1-5 maps, skills and effects."""
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=4), min_size=2,
+                          max_size=9, unique=True))
+    maps = draw(st.lists(st.sampled_from(["M1", "M2", "M3", "M4", "M5"]), min_size=1,
+                         max_size=5, unique=True))
+    values = st.floats(-6.0, 6.0)
+    return LeagueTruth(
+        player_skills={p: draw(values) for p in names},
+        matchup_effects={(m, pair): draw(values) for m in maps for pair in mb.CANONICAL_PAIRS},
+        race_of={p: draw(st.sampled_from(mb.RACES)) for p in names},
+        schedule=draw(st.sampled_from(SCHEDULES)))
 
 
 def test_generate_basic_shape():
@@ -51,10 +96,16 @@ def test_generate_large_gap_dominates():
     assert 0.96 <= wins <= 0.99  # sigmoid(4) is about 0.982
 
 
-def test_generator_encoder_coherence_bit_identical():
-    rng = np.random.default_rng(4)
-    truth = mb.random_league(9, 3, rng)
-    d = mb.generate(truth, 300, rng)
+@pytest.mark.parametrize("seed,n_players,n_maps,n,schedule", [
+    (4, 9, 3, 300, "uniform"),
+    (11, 2, 1, 200, "uniform"),
+    (12, 25, 5, 600, "tournament_tail"),
+    (13, 60, 2, 900, "tournament_tail"),
+])
+def test_generator_encoder_coherence_bit_identical(seed, n_players, n_maps, n, schedule):
+    rng = np.random.default_rng(seed)
+    truth = mb.random_league(n_players, n_maps, rng, schedule=schedule)
+    d = mb.generate(truth, n, rng)
     idx = mb.build_parameter_index(d, min_games=1, ensure_identifiable=False)
     beta = np.zeros(idx.p)
     for player, col in idx.player_columns.items():
@@ -67,6 +118,89 @@ def test_generator_encoder_coherence_bit_identical():
         for col, sign in row.items():
             eta += sign * beta[col]
         assert eta == mb.true_eta(truth, r.player1, r.player2, r.map_name)
+
+
+@replay_settings
+@given(st.integers(2, 40), st.integers(1, 5), st.sampled_from(SCHEDULES),
+       st.integers(0, 400), seeds)
+@example(3, 2, "uniform", 0, 5)
+def test_generate_replays_the_per_game_loop(n_players, n_maps, schedule, n, seed):
+    # an odd player count leaves a 32-bit half cached when generate starts
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    truth = mb.random_league(n_players, n_maps, rng, schedule=schedule)
+    random_league_loop(n_players, n_maps, loop, schedule=schedule)
+    assert_same_games(rng, loop, truth, n)
+
+
+@replay_settings
+@given(truths(), st.integers(0, 300), st.booleans(), seeds)
+def test_generate_replays_the_per_game_loop_on_a_hand_built_truth(truth, n, cached, seed):
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached:  # a bounded draw leaves the high half of its word cached
+        rng.integers(3), loop.integers(3)
+    assert_same_games(rng, loop, truth, n)
+
+
+@pytest.mark.parametrize("seed,cached", [(247, False), (797, True)])
+def test_generate_replays_a_rejected_duration_draw(seed, cached):
+    # Both seeds were searched for, by scanning raw words for a 32-bit half
+    # that a duration draw rejects (leftover below 2**32 mod 3301), so that
+    # one of the 1,000 games redraws its duration from the next half.
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached:
+        truth = mb.random_league(7, 3, rng)
+        random_league_loop(7, 3, loop)
+    else:
+        truth = LeagueTruth(
+            player_skills={"a": 0.5, "b": -0.25, "c": 0.0, "d": 1.0},
+            matchup_effects={(m, pair): 0.1 * i for i, (m, pair) in enumerate(
+                (m, pair) for m in ("M1", "M2", "M3") for pair in mb.CANONICAL_PAIRS)},
+            race_of={"a": "Terran", "b": "Zerg", "c": "Protoss", "d": "Zerg"},
+            schedule="tournament_tail")
+    assert rng.bit_generator.state["has_uint32"] == cached
+    assert_same_games(rng, loop, truth, 1000)
+    # each game reads two halves, so only a rejection flips the cache flag
+    assert rng.bit_generator.state["has_uint32"] != cached
+
+
+@pytest.mark.parametrize("chunk,per_game,spare", [(1, 5, 64), (7, 5, 64), (5, 0, 1)])
+def test_generate_replays_across_chunks(monkeypatch, chunk, per_game, spare):
+    # chunk boundaries fall between games; with too few words drawn for
+    # one game, a chunk draws more
+    monkeypatch.setattr(simulate, "_CHUNK_GAMES", chunk)
+    monkeypatch.setattr(simulate, "_WORDS_PER_GAME", per_game)
+    monkeypatch.setattr(simulate, "_SPARE_WORDS", spare)
+    for seed, n_maps, schedule in ((21, 1, "uniform"), (22, 3, "tournament_tail")):
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        truth = mb.random_league(9, n_maps, rng, schedule=schedule)
+        random_league_loop(9, n_maps, loop, schedule=schedule)
+        assert_same_games(rng, loop, truth, 60)
+
+
+def test_generate_needs_a_bit_generator_with_a_cached_half():
+    truth = mb.random_league(4, 1, np.random.default_rng(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        mb.generate(truth, 5, np.random.Generator(np.random.MT19937(0)))
+    for bit_generator in (np.random.PCG64DXSM, np.random.SFC64, np.random.Philox):
+        rng, loop = (np.random.Generator(bit_generator(1)) for _ in range(2))
+        d, expected = mb.generate(truth, 300, rng), generate_loop(truth, 300, loop)
+        assert d == expected and np.array_equal(d._durations, expected._durations)
+        assert repr(rng.bit_generator.state) == repr(loop.bit_generator.state)
+
+
+@replay_settings
+@given(st.integers(0, 260), st.integers(0, 5), st.sampled_from((0.0, 0.5, 1.0)),
+       st.sampled_from((0.0, 2.0)), st.sampled_from(SCHEDULES), seeds)
+def test_random_league_draws_as_the_per_symbol_loop(n_players, n_maps, skill_sd,
+                                                    matchup_sd, schedule, seed):
+    rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    kwargs = dict(skill_sd=skill_sd, matchup_sd=matchup_sd, schedule=schedule)
+    truth = mb.random_league(n_players, n_maps, rng, **kwargs)
+    expected = random_league_loop(n_players, n_maps, loop, **kwargs)
+    assert truth == expected
+    assert all(type(v) is float for v in truth.player_skills.values())
+    assert all(type(v) is float for v in truth.matchup_effects.values())
+    assert rng.bit_generator.state == loop.bit_generator.state
 
 
 def test_truth_validation():
