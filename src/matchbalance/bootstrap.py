@@ -191,10 +191,13 @@ def _draws(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
 
     Draws use independent derived seeds, and a draw's fit does not depend
     on the stack it is fitted in, so running them on ``jobs`` workers
-    cannot change the results.  ``jobs=1`` runs them in this process.
-    More than 20% failures raises :class:`BootstrapError`, whose message
-    counts the failures by cause.
+    cannot change the results.  ``jobs=1`` runs them in this process,
+    and ``jobs`` below 1 raises ValueError.  More than 20% failures
+    raises :class:`BootstrapError`, whose message counts the failures by
+    cause.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     d._coded  # the distinct coded rows, once, before any worker forks
     run = partial(_run_draws, d, opts, min_games, seed, statistic)
     workers = min(jobs, B)

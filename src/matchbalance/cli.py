@@ -118,7 +118,7 @@ def _fit_from_args(args):
     d = _load_dataset(args.input)
     idx = build_parameter_index(d, args.min_games)
     data = build_design(d, idx)
-    return d, data, fit_irls(data, _fit_options(args))
+    return data, fit_irls(data, _fit_options(args))
 
 
 def _add_fit_flags(p) -> None:
@@ -193,7 +193,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, _, fit = _fit_from_args(args)
+    _, fit = _fit_from_args(args)
     write_json(args.out, fit_to_obj(fit))
     print(f"wrote {args.out} (converged: {fit.converged}, "
           f"deviance: {fit.deviance:.6g})")
@@ -201,7 +201,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    _, data, fit = _fit_from_args(args)
+    data, fit = _fit_from_args(args)
     if args.check == "lrt":
         statistic, df, p_value = dg.lrt_vs_constant(fit, data)
         write_json(args.out, {"statistic": statistic, "df": df, "p_value": p_value})

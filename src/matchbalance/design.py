@@ -1,36 +1,38 @@
 """Coefficient-column bookkeeping and signed sparse design encoding.
 
-The design is one ``scipy.sparse`` CSR matrix with a row per match and
-at most three nonzero entries per row, all in {+1, -1}: +1 at player1's
-column, -1 at player2's column, and one signed entry at the
-map/race-matchup column when the races differ.  Each unordered race
-pair owns a single column per map, stored under its canonical
-orientation; games observed in the reversed orientation carry sign -1
-instead of a second parameter.  Swapping the two players of any record
-therefore negates its row exactly, which forces P(swapped) = 1 - P for
-every coefficient vector.
+Each game's row of the design has at most three nonzero entries, all
+in {+1, -1}: +1 at player1's column, -1 at player2's column, and one
+signed entry at the map/race-matchup column when the races differ.
+Each unordered race pair owns a single column per map, stored under its
+canonical orientation; games observed in the reversed orientation carry
+sign -1 instead of a second parameter.  Swapping the two players of any
+record therefore negates its row exactly, which forces
+P(swapped) = 1 - P for every coefficient vector.
 
 Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
-Both steps are array operations on a dataset's integer-coded columns,
-and the fit works on the design's distinct rows up to sign, each with
-its game and win counts (``_merge``).  A bootstrap draw or a
-cross-validation training fold takes no rows: it is a game count and a
-win count on each of the dataset's distinct coded rows (player1,
-player2, race1, race2, map; ``Dataset._coded``), and the rows it holds
-are indexed, each with its games, encoded once each, and merged with
-their counts summed (``_counted_design``).  That gives every bit of the
-index and the distinct rows of the same games taken row by row.  How
-many directions the anchoring leaves unidentified follows from the
-design's structure alone (``_nullity``), which the fit reads once.
+Both steps are array operations on a dataset's integer-coded columns.
+The design is held as its distinct rows up to sign, one ``scipy.sparse``
+CSR matrix, each row with its game and win counts (``_merge``), and
+each game keeps the number of its row and its sign (``EncodedDataset``):
+the fit reads the rows and their counts, per-game predictions a row and
+a sign.  A subset of a design's games (a lambda-selection fold) is a
+count of them on its rows.  A bootstrap draw or a cross-validation
+training fold takes no rows: it is a game count and a win count on each
+of the dataset's distinct coded rows (player1, player2, race1, race2,
+map; ``Dataset._coded``), and the rows it holds are indexed, each with
+its games, encoded once each, and merged with their counts summed
+(``_counted_design``).  That gives every bit of the index and the
+design of the same games taken row by row.  How many directions the
+anchoring leaves unidentified follows from the design's structure alone
+(``_nullity``), which the fit reads once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -160,58 +162,22 @@ def _layout(players, anchored_players, maps, components) -> ParameterIndex:
 
 @dataclass(frozen=True, eq=False)
 class EncodedDataset:
-    """The design as an (n, p) CSR matrix ``X`` plus the binary responses.
+    """The design of n games, held on its distinct rows up to sign.
 
-    ``X`` stores only the +1/-1 entries, never zeros; a same-race game
-    between two anchored players is an empty row and contributes
-    nothing.
-    """
-
-    X: scipy.sparse.csr_array
-    response: np.ndarray
-    index: ParameterIndex
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.index.p
-
-    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        return self.X @ beta
-
-    def column_counts(self) -> np.ndarray:
-        """Number of records touching each column (its CSC column length)."""
-        return np.bincount(self.X.indices, minlength=self.p)
-
-    def subset(self, rows: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(self.X[rows], self.response[rows], self.index)
-
-    @cached_property
-    def _distinct(self) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
-        """The distinct rows up to sign, with their game and win counts:
-        :func:`_merge` of the rows, each one game won ``response`` times."""
-        return _merge(self.X, np.ones(self.n), self.response)
-
-
-@dataclass(frozen=True, eq=False)
-class _CountedDesign:
-    """The design of n games held as counts on their distinct coded rows.
-
-    ``X`` has a row per coded row that holds a game; ``games`` and
-    ``wins`` count the row's games and its player1's wins among them;
-    ``row`` and ``response`` give each game's row of ``X`` and outcome, in
-    game order.  Where the fit (``_distinct``), the prediction path and
-    the dispersion read a design, it reads as the EncodedDataset of those
-    games, bit for bit.
+    ``X`` is the (r, p) CSR matrix of the distinct rows (``_merge``),
+    each oriented so that its first entry is +1; ``games`` and ``wins``
+    count each row's games and its oriented player1's wins among them.
+    Game i reads row ``row[i]`` of ``X`` times ``sign[i]`` (+1 or -1)
+    and has outcome ``response[i]``, in game order.  ``X`` stores only
+    the +1/-1 entries, never zeros; same-race games between anchored
+    players share one empty row and contribute nothing.
     """
 
     X: scipy.sparse.csr_array
     games: np.ndarray
     wins: np.ndarray
     row: np.ndarray
+    sign: np.ndarray
     response: np.ndarray
     index: ParameterIndex
 
@@ -224,15 +190,22 @@ class _CountedDesign:
         return self.index.p
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        return (self.X @ beta)[self.row]
+        """Each game's eta, in game order, bitwise that of its own signed
+        row: ``+ 0.0`` turns the -0.0 of a flipped zero into +0.0."""
+        return self.sign * (self.X @ beta)[self.row] + 0.0
 
-    @cached_property
-    def _distinct(self) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
-        return _merge(self.X, self.games, self.wins)
+    def subset(self, games: np.ndarray) -> "EncodedDataset":
+        """The design of the games at ``games`` (indices, which may repeat),
+        as game and win counts on the rows of ``X`` that hold one."""
+        row, sign, response = self.row[games], self.sign[games], self.response[games]
+        kept, row = np.unique(row, return_inverse=True)
+        won = np.where(sign > 0, response, 1 - response)
+        return EncodedDataset(self.X[kept], np.bincount(row).astype(float),
+                              np.bincount(row, weights=won, minlength=len(kept)),
+                              row, sign, response, self.index)
 
 
-def _merge(X: scipy.sparse.csr_array, games: np.ndarray,
-           wins: np.ndarray) -> tuple[scipy.sparse.csr_array, np.ndarray, np.ndarray]:
+def _merge(X: scipy.sparse.csr_array, games: np.ndarray, wins: np.ndarray):
     """The distinct rows of ``X`` up to sign, with their game and win
     counts, given the ``games`` and ``wins`` of each row of ``X``.
 
@@ -247,7 +220,8 @@ def _merge(X: scipy.sparse.csr_array, games: np.ndarray,
     (same-race games between anchored players) merge into one row with
     no entries.  The counts are whole numbers, so every sum is exact:
     neither the order of the rows nor how their games are split among
-    equal rows moves any bit of the result.
+    equal rows moves any bit of the result.  Also returns, for each row
+    of ``X``, its merged row and its orientation (+1 or -1, as int8).
     """
     p = X.shape[1]
     start, length = X.indptr[:-1], np.diff(X.indptr)
@@ -272,7 +246,7 @@ def _merge(X: scipy.sparse.csr_array, games: np.ndarray,
     rows = scipy.sparse.csr_array(
         (np.sign(entries).astype(float), (np.abs(entries) - 1).astype(np.intc), indptr),
         shape=(len(keys), p))
-    return rows, games, wins
+    return rows, games, wins, row, orient.astype(np.int8)
 
 
 def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
@@ -297,12 +271,14 @@ def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
 
 
 def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
-    """Encode a dataset's games, in order, into the CSR design.
+    """Encode a dataset's games, in order: each game's row, merged into
+    the design's distinct rows.
 
     The caller has checked the race tags (``_check``).
     """
-    X = _design_matrix(d, d._rows, idx)
-    return EncodedDataset(X, d._rows[:, 5].astype(np.int8), idx)
+    response = d._rows[:, 5].astype(np.int8)
+    return EncodedDataset(*_merge(_design_matrix(d, d._rows, idx), np.ones(len(response)),
+                                  response), response, idx)
 
 
 def _design_matrix(d: Dataset, rows: np.ndarray,
@@ -333,7 +309,7 @@ def _design_matrix(d: Dataset, rows: np.ndarray,
     return X
 
 
-def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> _CountedDesign:
+def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDataset:
     """The games of ``d`` at ``picked`` (row indices, which may repeat), as
     game and win counts on d's distinct coded rows (``Dataset._coded``),
     indexed and encoded.
@@ -353,11 +329,14 @@ def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> _CountedD
     if (rows[:, 2:4] >= len(RACES)).any():
         raise EncodingError("a game has an unrecognized race tag")
     idx = _index(d, rows, m, min_games)
+    X, games, wins, row, orient = _merge(
+        _design_matrix(d, rows, idx), m.astype(float),
+        np.bincount(drawn, weights=won, minlength=len(coded))[kept])
     position = np.zeros(len(coded), np.intp)
     position[kept] = np.arange(len(kept))
-    return _CountedDesign(_design_matrix(d, rows, idx), m.astype(float),
-                          np.bincount(drawn, weights=won, minlength=len(coded))[kept],
-                          position[drawn], won, idx)
+    game_row = position[drawn]
+    return EncodedDataset(X, games, wins, row[game_row], orient[game_row],
+                          won.astype(np.int8), idx)
 
 
 def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:

@@ -70,7 +70,7 @@ def hosmer_lemeshow(
 ) -> HosmerLemeshowResult:
     """Calibration test on near-equal-count bins of sorted fitted probability.
 
-    Rows sort ascending by fitted probability (stable, so ties keep
+    Games sort ascending by fitted probability (stable, so ties keep
     their original order); bin sizes differ by at most one with the
     larger bins first.  The statistic sums (O-E)^2 / (E(1-mean pi))
     over bins.
@@ -119,7 +119,7 @@ def pearson_dispersion(fit: FitResult, data: EncodedDataset) -> DispersionEstima
 
 
 def residuals_vs_fitted(fit: FitResult, data: EncodedDataset) -> list[tuple[float, float]]:
-    """(fitted probability, Pearson residual) per row, in row order."""
+    """(fitted probability, Pearson residual) per game, in game order."""
     pi = fit.fitted_probabilities(data)
     if np.any(pi == 0.0) or np.any(pi == 1.0):
         raise ValueError("fitted probability of exactly 0 or 1; residual undefined")

@@ -79,8 +79,7 @@ def log_likelihood(beta: np.ndarray, data: EncodedDataset) -> float:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    X, games, wins = data._distinct
-    return -float(_log_loss(X @ beta, games, wins, np.zeros(1, np.intp))[0])
+    return -float(_log_loss(data.X @ beta, data.games, data.wins, np.zeros(1, np.intp))[0])
 
 
 def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray,
@@ -101,8 +100,8 @@ def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray,
 def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
     """Gradient of the log-likelihood: X'(y - pi), summed as X'(k - m pi)
     over the distinct rows."""
-    X, games, wins = data._distinct
-    return X.T @ _residual(X @ np.asarray(beta, dtype=float), games, wins)[0]
+    X = data.X
+    return X.T @ _residual(X @ np.asarray(beta, dtype=float), data.games, data.wins)[0]
 
 
 def _residual(eta: np.ndarray, games: np.ndarray, wins: np.ndarray):
@@ -170,7 +169,7 @@ class FitResult:
         return float(self.coefficients[self.index.matchup_column(map_name, pair)])
 
     def fitted_probabilities(self, data: EncodedDataset) -> np.ndarray:
-        """Per-row win probabilities with the fitting-time cap applied."""
+        """Per-game win probabilities, in game order, with the fitting-time cap applied."""
         eta = np.clip(data.linear_predictor(self.coefficients),
                       -self.eta_cap, self.eta_cap)
         return sigmoid(eta)
@@ -214,7 +213,7 @@ def _fit_stacks(designs, opts: FitOptions, use) -> list:
     out, pending, rows = [], [], 0
     for data in designs:
         pending.append(data)
-        rows += 0 if data is None else data._distinct[0].shape[0]
+        rows += 0 if data is None else data.X.shape[0]
         if rows >= _STACK_ROWS:
             out += _fit_pending(pending, opts, use)
             pending, rows, data = [], 0, None  # held by nothing while the next is read
@@ -251,7 +250,7 @@ class _Block:
         if data.n == 0:
             raise ValueError("cannot fit an empty dataset")
         self.data = data
-        X, self.games, self.wins = data._distinct
+        X, self.games, self.wins = data.X, data.games, data.wins
         # a column holds data where one of the distinct rows has an entry
         counts = np.bincount(X.indices, minlength=data.p)
         self.active = np.flatnonzero(counts > 0)
@@ -597,7 +596,7 @@ def default_lambda_grid(data: EncodedDataset, num: int = 50,
 
 
 def _accuracy(beta: np.ndarray, data: EncodedDataset, eta_cap: float) -> float:
-    """Fraction of rows predicted correctly at the 0.5 threshold.
+    """Fraction of games predicted correctly at the 0.5 threshold.
 
     Ties (probability exactly 0.5) predict that player1 wins.
     """

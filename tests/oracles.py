@@ -31,7 +31,6 @@ from matchbalance.data import (_DATE, _MAX_DURATION, CSV_HEADER, RACES, Dataset,
                                DescriptiveStats, ParseError)
 from matchbalance.design import (
     CANONICAL_PAIRS,
-    EncodedDataset,
     EncodingError,
     ParameterIndex,
     build_design,
@@ -51,8 +50,7 @@ def gd_maximize(data, tol=1e-10, max_iter=100000):
     changes drop below float resolution.  Columns with no observations
     stay at zero, matching the fitter's frozen-column convention.
     """
-    counts = data.column_counts()
-    active = counts > 0
+    active = np.bincount(per_game(data).indices, minlength=data.p) > 0
     beta = np.zeros(data.p)
     g = score(beta, data) * active
     step = 1e-3
@@ -86,12 +84,14 @@ def dense_newton_fit(data, opts=FitOptions()):
     The same iteration as ``fit_irls`` (eta cap, step halving, relative
     deviance stopping rule, no-data columns frozen at zero), but each
     direction comes from ``cho_factor`` on the densified X'WX; when the
-    factorization fails, that iteration retries with LAST_RESORT_RIDGE
-    on the diagonal and the fit counts as stabilized.  Returns
-    (beta, deviance, iterations, converged, stabilized).
+    factorization fails or leaves a pivot at rounding level, that
+    iteration retries with LAST_RESORT_RIDGE on the diagonal and the fit
+    counts as stabilized.  Returns (beta, deviance, iterations, converged,
+    stabilized).
     """
-    active = np.flatnonzero(data.column_counts() > 0)
-    X = data.X[:, active]
+    X = per_game(data)
+    active = np.flatnonzero(np.bincount(X.indices, minlength=data.p) > 0)
+    X = X[:, active]
     y = data.response.astype(float)
     beta = np.zeros(data.p)
     deviance = -2.0 * log_likelihood(beta, data)
@@ -103,6 +103,10 @@ def dense_newton_fit(data, opts=FitOptions()):
         hessian = (X.T @ X.multiply((pi * (1.0 - pi))[:, None])).toarray()
         try:
             factor = scipy.linalg.cho_factor(hessian)
+            # a pivot at rounding level is a zero pivot that rounding left positive
+            if np.any(np.diag(factor[0]) ** 2
+                      <= active.size * np.finfo(float).eps * np.diag(hessian)):
+                raise scipy.linalg.LinAlgError("singular X'WX")
         except scipy.linalg.LinAlgError:
             stabilized = True
             factor = scipy.linalg.cho_factor(hessian + LAST_RESORT_RIDGE * np.eye(active.size))
@@ -138,12 +142,13 @@ def coordinate_descent_lasso(data, opts, warm_start=None):
     (beta, iterations, converged).
     """
     lam = opts.l1_lambda
-    by_column = data.X.tocsc()
+    X = per_game(data)
+    by_column = X.tocsc()
     rows_flat = by_column.indices.astype(np.intp)
     signs_flat, bounds = by_column.data, by_column.indptr
     active_cols = np.flatnonzero(np.diff(bounds) > 0)
     y = data.response.astype(float)
-    touched = data.X.multiply(data.X).T
+    touched = X.multiply(X).T
     beta = np.zeros(data.p) if warm_start is None else warm_start.copy()
     converged = False
     iterations = 0
@@ -298,8 +303,22 @@ def index_records(records, min_games, ensure_identifiable=True):
     )
 
 
+def per_game(data):
+    """A design's games as a CSR matrix with a row per game, in game order:
+    row ``data.row[i]`` of the distinct rows ``data.X`` times ``data.sign[i]``,
+    its entries copied one run per game."""
+    X = data.X
+    lengths = np.diff(X.indptr)[data.row]
+    indptr = np.r_[0, np.cumsum(lengths)].astype(np.intc)
+    entry = np.repeat(X.indptr[data.row] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return scipy.sparse.csr_array(
+        (X.data[entry] * np.repeat(data.sign, lengths), X.indices[entry], indptr),
+        shape=(data.n, data.p))
+
+
 def encode_records(records, idx, strict=True):
-    """Encode ``records`` in order, one record at a time, into the CSR design.
+    """Encode ``records`` in order, one record at a time, into a CSR design
+    with a row per game, and return it with the responses.
 
     With ``strict`` a player or map the index does not know raises an
     EncodingError naming the record; otherwise it contributes nothing,
@@ -333,13 +352,12 @@ def encode_records(records, idx, strict=True):
          np.array(indptr, dtype=np.intc)),
         shape=(len(records), idx.p),
     )
-    response = np.array([r.winner for r in records], dtype=np.int8)
-    return EncodedDataset(X, response, idx)
+    return X, np.array([r.winner for r in records], dtype=np.int8)
 
 
 def encode_row(r, idx):
     """Encode one record as a {column: sign} sparse row, through build_design."""
-    X = build_design(Dataset.from_records([r]), idx).X
+    X = per_game(build_design(Dataset.from_records([r]), idx))
     return dict(zip(X.indices.tolist(), X.data.astype(int).tolist()))
 
 

@@ -38,7 +38,7 @@ from helpers import (
     simple_league,
     table_counts_dataset,
 )
-from oracles import encode_row, gd_maximize
+from oracles import encode_row, gd_maximize, per_game
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -169,8 +169,9 @@ def test_criterion_4a_consistency_as_specified():
         beta_true[col] = truth.player_skills[player] - truth.player_skills[anchor]
     for key, col in idx.matchup_columns.items():
         beta_true[col] = truth.matchup_effects[key]
-    observed = data.column_counts() > 0
-    X = data.X.toarray()[:, observed]
+    X = per_game(data)
+    observed = np.bincount(X.indices, minlength=data.p) > 0
+    X = X.toarray()[:, observed]
     rank = int(np.linalg.matrix_rank(X))
     deficiency = X.shape[1] - rank
     null = scipy.linalg.null_space(X)
@@ -322,9 +323,9 @@ def test_criterion_7_lasso_checks():
     kkt_ok = True
     for lam, fit_data in ((0.3, data),):
         fit = mb.fit_lasso(fit_data, FitOptions(l1_lambda=lam, max_iterations=300))
-        g = fit_data.X.T @ (fit_data.response
-                            - fit.fitted_probabilities(fit_data))
-        observed = fit_data.column_counts() > 0
+        X = per_game(fit_data)
+        g = X.T @ (fit_data.response - fit.fitted_probabilities(fit_data))
+        observed = np.bincount(X.indices, minlength=fit_data.p) > 0
         zero = (fit.coefficients == 0.0) & observed
         nonzero = fit.coefficients != 0.0
         if zero.any() and np.max(np.abs(g[zero])) > lam + 1e-6:

@@ -149,6 +149,14 @@ def test_bootstrap_draw_count_validation():
         mb.bootstrap_dispersion(d, B=1)
 
 
+def test_bootstrap_jobs_below_one_are_refused():
+    _, d = casual_base_league(88, n_pro_games=300, n_pros=8, casuals_per_race=4)
+    for run in (mb.bootstrap_balance, mb.bootstrap_dispersion):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                run(d, B=4, min_games=6, seed=0, jobs=jobs)
+
+
 def test_bootstrap_dispersion_well_specified():
     _, d = simple_league(89, n=800, n_players=16, matchup_sd=0.5)
     summary = mb.bootstrap_dispersion(d, B=60, min_games=6, seed=2)

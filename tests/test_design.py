@@ -1,6 +1,5 @@
 import datetime as dt
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from matchbalance.data import Dataset, MatchRecord
 from matchbalance.glm import fit_from_obj, fit_to_obj
 from matchbalance.jsonio import dumps
 from helpers import simple_league
-from oracles import encode_row
+from oracles import encode_row, per_game
 
 
 def record(p1, r1, p2, r2, map_name="M", winner=1):
@@ -144,9 +143,9 @@ def test_build_design_shape_and_responses():
     # row i of the sparse matrix equals the sparse dict encoding
     for i in (0, 17, 349):
         row = encode_row(d.records[i], idx)
-        X_row = data.X[[i]]
+        X_row = per_game(data)[[i]]
         assert {int(c): int(s) for c, s in zip(X_row.indices, X_row.data)} == row
-    dense = data.X.toarray()
+    dense = per_game(data).toarray()
     assert dense.shape == (350, idx.p)
     nnz_per_row = (dense != 0).sum(axis=1)
     assert nnz_per_row.max() <= 3
@@ -209,17 +208,16 @@ def test_all_zero_row_for_anchored_same_race_game():
 
 
 def test_row_keys_refuse_a_design_too_wide_for_int64():
-    idx = mb.build_parameter_index(Dataset.from_records([record("a", "Terran", "b", "Zerg")]), 1)
     for p, fits in ((1_048_574, True), (1_048_575, False)):  # 2p + 2 = 2^21 - 2, 2^21
         # about the largest key: digits 2p - 1, 2p and 2p + 1
         X = scipy.sparse.csr_array(([1.0] * 3, [p - 3, p - 2, p - 1], [0, 3]), shape=(1, p))
-        data = design.EncodedDataset(X, np.array([1], np.int8), replace(idx, p=p))
         if fits:
-            rows, games, wins = data._distinct
+            rows, games, wins, row, sign = design._merge(X, np.ones(1), np.ones(1))
             assert (rows != X).nnz == 0 and games.tolist() == wins.tolist() == [1.0]
+            assert row.tolist() == [0] and sign.tolist() == [1]
         else:
             with pytest.raises(ValueError, match="too many"):
-                data._distinct
+                design._merge(X, np.ones(1), np.ones(1))
 
 
 def test_index_json_round_trip():

@@ -9,7 +9,7 @@ import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.glm import FitOptions
 from helpers import simple_league
-from oracles import cv_accuracies, predict_record
+from oracles import cv_accuracies, per_game, predict_record
 
 
 def record(p1, r1, p2, r2, winner=1, map_name="M", day=1):
@@ -205,8 +205,9 @@ def test_residuals_score_orthogonality_at_optimum():
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=6))
     fit = mb.fit_irls(data, FitOptions(tolerance=1e-12))
     pi = fit.fitted_probabilities(data)
-    g = data.X.T @ (data.response - pi)
-    observed = data.column_counts() > 0
+    X = per_game(data)
+    g = X.T @ (data.response - pi)
+    observed = np.bincount(X.indices, minlength=data.p) > 0
     assert np.max(np.abs(g[observed])) < 1e-6
 
 

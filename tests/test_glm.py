@@ -16,6 +16,7 @@ from oracles import (
     encode_row,
     finite_diff_score,
     gd_maximize,
+    per_game,
     quad_chi_square_sf,
 )
 
@@ -268,8 +269,9 @@ def test_lasso_kkt_conditions():
     fit = mb.fit_lasso(data, FitOptions(l1_lambda=lam, max_iterations=300))
     assert fit.converged
     pi = fit.fitted_probabilities(data)
-    g = data.X.T @ (data.response - pi)
-    observed = data.column_counts() > 0
+    X = per_game(data)
+    g = X.T @ (data.response - pi)
+    observed = np.bincount(X.indices, minlength=data.p) > 0
     zero = (fit.coefficients == 0.0) & observed
     nonzero = (fit.coefficients != 0.0)
     assert np.all(np.abs(g[zero]) <= lam + 1e-6)

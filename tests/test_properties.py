@@ -16,7 +16,10 @@ bit of the fit it gives alone, also beside designs that are stabilized,
 run to the iteration limit or fail to solve.  Games picked from a
 dataset as counts on its distinct coded rows, as bootstrap draws and CV
 training folds are, give every bit of the index, the distinct rows and
-the no-data columns of the same games taken row by row.
+the no-data columns of the same games taken row by row, and so does a
+subset of a design's games counted on its rows, as lambda-selection
+folds are; read per game, each design's linear predictor is bitwise the
+record-by-record design's product, signed zeros included.
 """
 import datetime as dt
 import functools
@@ -42,6 +45,7 @@ from oracles import (
     filter_records,
     games_per_player_records,
     index_records,
+    per_game,
 )
 
 PLAYERS = [f"player_{i}" for i in range(7)]
@@ -113,8 +117,9 @@ def encode(d, m):
 def test_swapping_sides_negates_the_design(d, m):
     idx, data = encode(d, m)
     swapped = mb.build_design(Dataset.from_records(swap(r) for r in d.records), idx)
-    assert swapped.X.nnz == data.X.nnz
-    assert np.array_equal(swapped.X.toarray(), -data.X.toarray())
+    X, X_swapped = per_game(data), per_game(swapped)
+    assert X_swapped.nnz == X.nnz
+    assert np.array_equal(X_swapped.toarray(), -X.toarray())
     assert np.array_equal(swapped.response, 1 - data.response)
 
 
@@ -126,7 +131,7 @@ def test_permuting_records_permutes_rows(d, m, rnd):
     rnd.shuffle(order)
     idx_perm, permuted = encode(Dataset.from_records(d.records[i] for i in order), m)
     assert idx_perm == idx
-    assert np.array_equal(permuted.X.toarray(), data.X.toarray()[order])
+    assert np.array_equal(per_game(permuted).toarray(), per_game(data).toarray()[order])
     assert np.array_equal(permuted.response, data.response[order])
 
 
@@ -136,15 +141,17 @@ def test_csv_round_trip_encodes_identically(d, m):
     idx, data = encode(d, m)
     idx_back, back = encode(mb.parse_matches(mb.dataset_to_csv(d)), m)
     assert idx_back == idx
-    assert np.array_equal(back.X.toarray(), data.X.toarray())
+    assert np.array_equal(per_game(back).toarray(), per_game(data).toarray())
     assert np.array_equal(back.response, data.response)
 
 
 def assert_same_design(data, expected):
-    for a, b in ((data.X.indptr, expected.X.indptr), (data.X.indices, expected.X.indices),
-                 (data.X.data, expected.X.data), (data.response, expected.response)):
+    """``data`` read per game is ``expected``, a per-game CSR design and its responses."""
+    (X, response), (X_expected, response_expected) = (per_game(data), data.response), expected
+    for a, b in ((X.indptr, X_expected.indptr), (X.indices, X_expected.indices),
+                 (X.data, X_expected.data), (response, response_expected)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert data.X.shape == expected.X.shape
+    assert X.shape == X_expected.shape
 
 
 @encoder_settings
@@ -174,9 +181,8 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
         assert_same_design(mb.build_design(Dataset.from_records(test), idx), expected)
 
 
-def draw_cases(d, take, idx, expected, m):
+def draw_cases(d, take, idx, full, expected, m):
     """The cases a counted draw must get right, each with whether this draw holds it."""
-    full = mb.build_parameter_index(d, m)
     counts, drawn = mb.games_per_player(d), mb.games_per_player(take)
     component = {p: i for i, c in enumerate(idx.components) for p in c}
     return {
@@ -190,18 +196,31 @@ def draw_cases(d, take, idx, expected, m):
     }
 
 
+def assert_same_games(data, expected):
+    """Every bit of the distinct rows, their counts and each game's row,
+    sign and outcome."""
+    assert data.X.shape == expected.X.shape and data.n == expected.n
+    for a, b in ((data.X.indptr, expected.X.indptr), (data.X.indices, expected.X.indices),
+                 (data.X.data, expected.X.data), (data.games, expected.games),
+                 (data.wins, expected.wins), (data.row, expected.row),
+                 (data.sign, expected.sign), (data.response, expected.response)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @encoder_settings
 @given(leagues(), min_games, st.data())
 def test_counted_games_give_the_row_take_design(d, m, draw):
     # a bootstrap draw or a CV training fold, as game counts on the dataset's
     # distinct coded rows, gives every bit of the index, the distinct rows
-    # and the no-data columns of its row take; its rows repeat and omit games
+    # and the no-data columns of its row take; so does a subset of the whole
+    # dataset's design, as a lambda-selection fold takes it; the rows
+    # repeat, omit and reorder games
     rows = np.array(draw.draw(st.lists(st.integers(0, len(d) - 1), min_size=1,
                                        max_size=2 * len(d))))
     take = d._take(rows)
-    idx = mb.build_parameter_index(take, m)
+    idx, full = mb.build_parameter_index(take, m), mb.build_parameter_index(d, m)
     expected = mb.build_design(take, idx)
-    for case, holds in draw_cases(d, take, idx, expected, m).items():
+    for case, holds in draw_cases(d, take, idx, full, expected, m).items():
         if holds:
             event(case)
 
@@ -211,17 +230,20 @@ def test_counted_games_give_the_row_take_design(d, m, draw):
 
     counted = _counted_design(d, rows, m)
     assert counted.index == idx
-    (X, games, wins), (X_take, games_take, wins_take) = counted._distinct, expected._distinct
-    assert X.shape == X_take.shape
-    for a, b in ((X.indptr, X_take.indptr), (X.indices, X_take.indices), (X.data, X_take.data),
-                 (games, games_take), (wins, wins_take)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert_same_games(counted, expected)
+    X_take = encode_records(take.records, idx)[0]
     assert glm._Block(counted).no_data == tuple(
-        np.flatnonzero(expected.column_counts() == 0).tolist())
-    # read per game, it is the take's design
-    beta = np.random.default_rng(len(rows)).normal(0.0, 1.0, idx.p)
-    assert counted.linear_predictor(beta).tobytes() == expected.linear_predictor(beta).tobytes()
-    assert counted.n == expected.n and np.array_equal(counted.response, expected.response)
+        np.flatnonzero(np.bincount(X_take.indices, minlength=idx.p) == 0).tolist())
+    subset, expected_subset = mb.build_design(d, full).subset(rows), mb.build_design(take, full)
+    assert_same_games(subset, expected_subset)
+    # read per game, each is the take's design encoded record by record, also
+    # where beta gives zeros: at 0, and at whole numbers, whose sums cancel exactly
+    rng = np.random.default_rng(len(rows))
+    for data, X in ((expected, X_take), (counted, X_take),
+                    (subset, encode_records(take.records, full)[0])):
+        for beta in (rng.normal(0.0, 1.0, data.p), np.zeros(data.p),
+                     rng.integers(-2, 3, data.p).astype(float)):
+            assert data.linear_predictor(beta).tobytes() == (X @ beta).tobytes()
 
 
 def in_order(x):
@@ -263,8 +285,9 @@ def test_columnar_dataset_matches_the_record_oracles(raw, draw):
        st.integers(1, 20), st.booleans())
 def test_structural_nullity_equals_the_dense_rank_deficiency(d, m, identifiable):
     data = mb.build_design(d, mb.build_parameter_index(d, m, ensure_identifiable=identifiable))
-    active = np.flatnonzero(data.column_counts() > 0)
-    X = data.X[:, active]
+    X = per_game(data)
+    active = np.flatnonzero(np.bincount(X.indices, minlength=data.p) > 0)
+    X = X[:, active]
     players = int(np.searchsorted(active, len(data.index.player_columns)))
     dense = X.toarray()
     expected = X.shape[1] - (np.linalg.matrix_rank(dense) if dense.size else 0)
@@ -295,12 +318,12 @@ def test_distinct_rows_give_the_per_row_newton_system(d, m, identifiable, rnd):
     data = mb.build_design(d, mb.build_parameter_index(d, m, ensure_identifiable=identifiable))
     beta = np.random.default_rng(rnd.getrandbits(32)).normal(0.0, 1.5, data.p)
     eta = data.linear_predictor(beta)
-    pi, y = sigmoid(eta), data.response
-    gram = (data.X.T @ data.X.multiply((pi * (1.0 - pi))[:, None])).toarray()
-    terms = np.abs(data.X).T @ np.abs(y - pi)  # the size of the summands of the score
+    pi, y, X_games = sigmoid(eta), data.response, per_game(data)
+    gram = (X_games.T @ X_games.multiply((pi * (1.0 - pi))[:, None])).toarray()
+    terms = np.abs(X_games).T @ np.abs(y - pi)  # the size of the summands of the score
     deviance = 2.0 * np.sum(np.logaddexp(0.0, np.where(y == 1, -eta, eta)))
 
-    X, games, wins = data._distinct
+    X, games, wins = data.X, data.games, data.wins
     assert X.shape[0] < data.n and games.sum() == data.n
     assert np.array_equal(X.data ** 2, np.ones(X.nnz)) and X.has_sorted_indices
     assert np.all(X.data[X.indptr[:-1][np.diff(X.indptr) > 0]] == 1.0)  # oriented
@@ -308,7 +331,7 @@ def test_distinct_rows_give_the_per_row_newton_system(d, m, identifiable, rnd):
     pi_rows = sigmoid(X @ beta)
     gram_rows = (X.T @ X.multiply((games * pi_rows * (1.0 - pi_rows))[:, None])).toarray()
     assert np.max(np.abs(gram_rows - gram)) <= 1e-12 * np.max(np.abs(gram))
-    assert np.all(np.abs(mb.score(beta, data) - data.X.T @ (y - pi)) <= 1e-12 * terms)
+    assert np.all(np.abs(mb.score(beta, data) - X_games.T @ (y - pi)) <= 1e-12 * terms)
     assert -2.0 * mb.log_likelihood(beta, data) == pytest.approx(deviance, rel=1e-12)
 
 
