@@ -13,12 +13,19 @@ at the end; filtering is a row take of it, and bootstrap draws and CV
 folds count games on its distinct coded rows (``Dataset._coded``).
 A :class:`MatchRecord` is a row view, built only when asked for.
 
-:func:`parse_matches` reads the CSV a chunk of rows at a time.  Each
-chunk is transposed into columns; each distinct raw cell is stripped,
-checked and coded once, and the chunk's checks run as one fault mask
-per check before the next chunk is read.  So memory holds the coded
-columns and one chunk of text, never a tuple per row, and a
-:class:`ParseError` still names the line of the first faulty row.
+:func:`parse_matches` reads its source a block of whole lines at a time,
+a few thousand rows at most.  A plain block, one that csv.reader would
+read as ``line.split(",")`` with 8 cells on every line (no quote, CR or
+NUL, exactly 7 commas a line, no cell over ``csv.field_size_limit()``),
+is split into cells with one ``str.split`` and sliced into 8 columns.
+From the first block that is not plain, csv.reader reads the rest of
+the source, the lines it would read of the whole source, a chunk of
+rows at a time, and each chunk is transposed into columns.  Either way,
+each distinct raw cell is stripped, checked and coded once, and the
+columns' checks run as one fault mask per check before the next block
+or chunk is read.  So memory holds the coded columns and one block or
+chunk of text, never a tuple per row, and a :class:`ParseError` still
+names the line of the first faulty row.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, product
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -52,7 +59,7 @@ CSV_HEADER: tuple[str, ...] = (
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _MAX_DURATION = int(np.iinfo(np.int64).max)
 _CHUNK_ROWS = 4096  # rows read, checked and coded at a time
-_BLOCK_CHARS = 1 << 16  # characters of a text source read into one StringIO
+_ROW_CHARS = 25  # characters in the shortest valid row, its line end included
 
 
 class ParseError(ValueError):
@@ -249,15 +256,17 @@ class _Coder:
             buffer.frombytes(memoryview(np.ascontiguousarray(column, np.int64)).cast("B"))
 
     def dataset(self, filter_log: Iterable = ()) -> Dataset:
+        """The games coded so far; each buffer is released once copied, so
+        the coder holds no games afterwards."""
         (players, p), (races, r), (maps, m) = (
             self.players.ranked(), self.races.ranked(len(RACES)), self.maps.ranked())
-        *codes, dates, durations = (np.frombuffer(b, np.int64) for b in self._columns)
-        rows = np.empty((len(dates), 6), np.intp)
-        for j, (rank, column) in enumerate(zip((p, p, r, r, m), codes)):
-            rows[:, j] = rank[column]
-        rows[:, 5] = codes[5]
-        return Dataset(players, maps, races, rows, dates.copy(), durations.copy(),
-                       tuple(filter_log))
+        buffers, self._columns = list(self._columns), ()
+        rows = np.empty((len(buffers[0]), 6), np.intp)
+        for j, rank in enumerate((p, p, r, r, m, None)):
+            codes, buffers[j] = np.frombuffer(buffers[j], np.int64), None
+            rows[:, j] = codes if rank is None else rank[codes]
+        dates, durations = (np.frombuffer(b, np.int64).copy() for b in buffers[6:])
+        return Dataset(players, maps, races, rows, dates, durations, tuple(filter_log))
 
 
 class _Cells(dict):
@@ -308,38 +317,103 @@ def _seconds(text: str) -> int:
     return duration
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as ``io.StringIO(text)`` gives them, read a block
-    at a time: a StringIO holds a copy of its text at 4 bytes a character."""
+def _blocks(source: str | TextIO) -> Iterator[str | list[str]]:
+    """``source`` a block of whole lines at a time: a text source as slices
+    of its text that end at a line end (LF, where ``io.StringIO`` ends a
+    line), a stream as lists of its own lines.
 
-    def blocks() -> Iterator[str]:
+    A block ends with the first line that reaches _CHUNK_ROWS * _ROW_CHARS
+    characters, so it holds no more valid rows than a chunk does."""
+    size = _CHUNK_ROWS * _ROW_CHARS - 1  # characters before the last line's end
+    if isinstance(source, str):
         start = 0
-        while start < len(text):
-            end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-            yield text[start:end]
+        while start < len(source):
+            end = source.find("\n", start + size) + 1 or len(source)
+            yield source[start:end]
             start = end
+    else:
+        while block := source.readlines(size):
+            yield block
 
-    return chain.from_iterable(map(io.StringIO, blocks()))
+
+def _csv_lines(block: str | list[str]) -> Iterable[str]:
+    """The lines of a block as csv.reader is given them."""
+    return io.StringIO(block) if isinstance(block, str) else block
 
 
-def _read_rows(reader) -> tuple[list[list[str]], list[int], ParseError | None]:
-    """Up to _CHUNK_ROWS rows with the line each ends on, and the csv error
-    that stopped the read early, if one did."""
+def _plain_cells(block: str | list[str]) -> list[str] | None:
+    """The cells of a plain block, line after line, or None.
+
+    A block is plain when csv.reader would read each of its lines as
+    ``line.split(",")`` with 8 cells: it holds no quote, CR or NUL, every
+    line has exactly 7 commas (so none is blank), and no cell is longer
+    than ``csv.field_size_limit()``.  The first cell of every line after
+    the first keeps the LF before it, which stripping removes."""
+    text = block if isinstance(block, str) else "".join(block)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    cells = text.replace("\n", ",\n").split(",")
+    if text.endswith("\n"):
+        cells.pop()
+    # each cell holds at most one LF, at its start; the lines are 8 cells
+    # each when the LFs start exactly the cells 8, 16, ... of the block
+    rows, breaks = len(cells) // 8, text.count("\n", 0, len(text) - 1)
+    if (len(cells) != 8 * rows or breaks != rows - 1
+            or "".join(cells[8::8]).count("\n") != breaks):
+        return None
+    if not isinstance(block, str) and len(block) != rows:
+        return None  # a stream line that does not end at an LF
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:
+        return None
+    return cells
+
+
+def _check_header(header: list[str]) -> None:
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", line=1)
+
+
+def _code_plain(blocks: Iterator[str | list[str]], cells: tuple[_Cells, ...],
+                coder: _Coder) -> tuple[int, str | list[str] | None]:
+    """Check and code the plain blocks that open ``blocks``, the header
+    first; the lines read and the first block that is not plain, if any."""
+    read = 0
+    for block in blocks:
+        row_cells = _plain_cells(block)
+        if row_cells is None:
+            return read, block
+        if not read:
+            _check_header(row_cells[:8])
+            del row_cells[:8]
+            read = 1
+        rows = len(row_cells) // 8
+        _code_columns([row_cells[j::8] for j in range(8)], range(read + 1, read + rows + 1),
+                      cells, coder)
+        read += rows
+    return read, None
+
+
+def _read_rows(reader, read: int) -> tuple[list[list[str]], list[int], ParseError | None]:
+    """Up to _CHUNK_ROWS rows with the line each ends on, counted after the
+    ``read`` lines before the reader's first, and the csv error that
+    stopped the read early, if one did."""
     rows: list[list[str]] = []
     lines: list[int] = []
     try:
         for row in islice(reader, _CHUNK_ROWS):
             rows.append(row)
-            lines.append(reader.line_num)
+            lines.append(read + reader.line_num)
     except csv.Error as exc:
-        return rows, lines, ParseError(f"malformed CSV: {exc}", reader.line_num)
+        return rows, lines, ParseError(f"malformed CSV: {exc}", read + reader.line_num)
     return rows, lines, None
 
 
 def _code_rows(rows: list[list[str]], lines: list[int], cells: tuple[_Cells, ...],
                coder: _Coder) -> None:
-    """Check one chunk of rows and append its codes; a ParseError names the
-    line of the first faulty row, and the first check it fails."""
+    """Check one chunk of csv rows and append their codes: a row of the
+    wrong width is a fault, a blank line is skipped, and the rest is
+    :func:`_code_columns`."""
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     misfit = np.flatnonzero((width != 0) & (width != len(CSV_HEADER)))
     if misfit.size:  # the rows before it first, so the first fault in the file wins
@@ -348,17 +422,25 @@ def _code_rows(rows: list[list[str]], lines: list[int], cells: tuple[_Cells, ...
         raise ParseError(f"expected {len(CSV_HEADER)} fields, got {width[k]}", lines[k])
     if not width.all():  # blank lines
         rows, lines = list(compress(rows, width)), list(compress(lines, width))
-    if not rows:
-        return
+    if rows:
+        _code_columns(list(zip(*rows)), lines, cells, coder)
+
+
+def _code_columns(columns: list[Sequence[str]], lines: Sequence[int],
+                  cells: tuple[_Cells, ...], coder: _Coder) -> None:
+    """Check the 8 columns of raw cells of one chunk of rows and append
+    their codes; a ParseError names the line of the first faulty row, and
+    the first check it fails."""
+    n = len(lines)
     winner, p1, r1, p2, r2, m, date, duration = (
-        np.fromiter(map(table.__getitem__, column), np.int64, len(rows))
-        for table, column in zip(cells, zip(*rows)))
+        np.fromiter(map(table.__getitem__, column), np.int64, n)
+        for table, column in zip(cells, columns, strict=True))
     # one column per check, in the order a row is checked
     faults = np.stack([winner < 0, p1 < 0, r1 < 0, p2 < 0, r2 < 0, m < 0, p1 == p2,
                        date < 0, duration < 0], axis=1)
     if faults.any():
         i, kind = divmod(int(faults.argmax()), faults.shape[1])
-        row, column = rows[i], max(kind - 1, 0)  # the cell a value check read
+        row, column = [c[i] for c in columns], max(kind - 1, 0)  # the cell a value check read
         if tuple(c.strip() for c in row) == CSV_HEADER:  # fails the winner check
             reason = "duplicate header row"
         elif 1 <= kind <= 5:
@@ -374,29 +456,32 @@ def _code_rows(rows: list[list[str]], lines: list[int], cells: tuple[_Cells, ...
 def parse_matches(source: str | TextIO) -> Dataset:
     """Parse CSV text (or an open text stream) into a Dataset.
 
-    Rows are read, checked and coded a chunk at a time.  Raises
+    Rows are read, checked and coded a block or a chunk at a time.  Raises
     :class:`ParseError` naming the line of the first malformed row, or
     of the first CSV syntax error, whichever comes first.  Race tags
     are not validated here; use :func:`filter_valid` afterwards.
     """
-    reader = csv.reader(_lines(source) if isinstance(source, str) else source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: header row required") from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ParseError(
-            f"bad header {header!r}, expected {','.join(CSV_HEADER)}", line=1
-        )
-
     coder = _Coder()
     players, races = _named(coder.players), _named(coder.races)
     cells = (_Cells(_winner), players, races, players, races, _named(coder.maps),
              _Cells(_date_ordinal), _Cells(_seconds))
+    blocks = _blocks(source)
+    read, block = _code_plain(blocks, cells, coder)
+    if block is None:
+        if not read:
+            raise ParseError("empty input: header row required")
+        return coder.dataset()
+
+    # from the first block that is not plain, csv.reader reads the rest
+    reader = csv.reader(chain.from_iterable(map(_csv_lines, chain([block], blocks))))
+    if not read:
+        try:
+            header = next(reader)  # the block holds a line
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+        _check_header(header)
     while True:
-        rows, lines, error = _read_rows(reader)
+        rows, lines, error = _read_rows(reader, read)
         _code_rows(rows, lines, cells, coder)
         if error is not None:
             raise error

@@ -6,6 +6,21 @@ from .design import canonical_orientation
 from .glm import FitResult, sigmoid
 
 
+def _terms(fit: FitResult, player1: str, player2: str, race1: str, race2: str,
+           map_name: str) -> tuple[float, float, float, float]:
+    """The linear predictor of a query and its player1, player2 and matchup
+    terms; raises ValueError for a query the model cannot answer."""
+    if player1 == player2:
+        raise ValueError(f"player1 and player2 are both {player1!r}")
+    pair, sign = canonical_orientation(race1, race2)  # raises on unrecognized races
+    if pair is not None and (map_name, pair) not in fit.index.matchup_columns:
+        raise ValueError(f"unknown map {map_name!r}")
+    c1 = fit.player_estimate(player1)
+    c2 = -fit.player_estimate(player2)
+    cm = sign * fit.matchup_estimate(map_name, pair) if pair is not None else 0.0
+    return c1 + c2 + cm, c1, c2, cm
+
+
 def predict_detail(
     fit: FitResult,
     player1: str,
@@ -22,20 +37,12 @@ def predict_detail(
     a 50-50-by-ignorance one.  For a cross-race game the map must be
     known to the fit.
     """
-    if player1 == player2:
-        raise ValueError(f"player1 and player2 are both {player1!r}")
-    pair, sign = canonical_orientation(race1, race2)  # raises on unrecognized races
-    if pair is not None and (map_name, pair) not in fit.index.matchup_columns:
-        raise ValueError(f"unknown map {map_name!r}")
+    eta, c1, c2, cm = _terms(fit, player1, player2, race1, race2, map_name)
     unknown = [
         name
         for name, player in (("player1", player1), ("player2", player2))
         if not fit.index.knows_player(player)
     ]
-    c1 = fit.player_estimate(player1)
-    c2 = -fit.player_estimate(player2)
-    cm = sign * fit.matchup_estimate(map_name, pair) if pair is not None else 0.0
-    eta = c1 + c2 + cm
     return {
         "probability": sigmoid(eta),
         "eta": eta,
@@ -52,8 +59,9 @@ def win_probability(
     race2: str,
     map_name: str,
 ) -> float:
-    """Probability that player1 beats player2 with these races on this map."""
-    return predict_detail(fit, player1, player2, race1, race2, map_name)["probability"]
+    """Probability that player1 beats player2 with these races on this map:
+    ``predict_detail``'s probability, without its breakdown."""
+    return sigmoid(_terms(fit, player1, player2, race1, race2, map_name)[0])
 
 
 def rank_players(fit: FitResult) -> list[tuple[str, float]]:

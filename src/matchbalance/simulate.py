@@ -208,7 +208,9 @@ def _chunk(words: np.ndarray, weights: np.ndarray, cdf: np.ndarray, n_maps: int,
     """
     size = len(words)
     double = (words >> np.uint64(11)) * 2.0 ** -53
-    pick = cdf.searchsorted(double, side="right")
+    order = double.argsort()  # searchsorted runs faster on sorted keys
+    pick = np.empty(size, np.intp)
+    pick[order] = cdf.searchsorted(double[order], side="right")
     clash = np.zeros(size + 1, bool)  # whether a game starting at a word collides
     clash[:-2] = pick[:-1] == pick[1:]
     at = np.arange(size + 1).repeat(2)  # state 2 * position + cache flag

@@ -447,12 +447,22 @@ def _date_ordinal_rowwise(text, line):
 
 def parse_matches_rowwise(source):
     """The row-by-row parser: each row is checked in turn, in the order the
-    checks are listed, and kept as a tuple of fields until the end."""
+    checks are listed, and kept as a tuple of fields until the end.  One
+    csv.reader reads the whole source; a text source is read as one
+    StringIO over it."""
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
+
+    def rows_read():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+
+    read = rows_read()
     try:
-        header = next(reader)
+        header = next(read)
     except StopIteration:
         raise ParseError("empty input: header row required") from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -462,7 +472,7 @@ def parse_matches_rowwise(source):
 
     rows = []
     ordinals = {}
-    for row in reader:
+    for row in read:
         line = reader.line_num
         if not row:
             continue

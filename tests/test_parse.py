@@ -1,12 +1,16 @@
-"""The chunked, column-coded CSV parser against the row-by-row oracle.
+"""The block-tokenized, column-coded CSV parser against the row-by-row oracle.
 
-Every parse is compared bitwise with ``oracles.parse_matches_rowwise``:
-the name tables, the code rows, the dates and the durations, or else the
-line and message of the ParseError.  Chunks of three rows
-(``data._CHUNK_ROWS`` patched) put faults after several chunks and at
-chunk boundaries; small text blocks (``data._BLOCK_CHARS``) split a
-text source's lines exactly as one StringIO over it does.  Simulation, ``Dataset.from_records`` and a CSV round
-trip code the same games into the same columns.
+Every parse is compared bitwise with ``oracles.parse_matches_rowwise``,
+on the text and on a ``newline=""`` stream over it: the name tables, the
+code rows, the dates and the durations, or else the line and message of
+the ParseError.  Small chunks (``data._CHUNK_ROWS`` patched) put faults
+after several chunks and blocks and at their boundaries, and plain
+blocks, split with ``str.split``, before the blocks csv.reader reads.
+The blocks of a text source split its lines exactly as one StringIO over
+it does, and a stream's blocks are its own lines, so files with LF, CRLF
+and CR line ends load as the oracle reads them.  Simulation,
+``Dataset.from_records`` and a CSV round trip code the same games into
+the same columns.
 """
 import csv
 import datetime as dt
@@ -15,11 +19,11 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import matchbalance as mb
-from matchbalance import data
+from matchbalance import cli, data
 from matchbalance.data import CSV_HEADER, RACES, Dataset, MatchRecord
 from oracles import parse_matches_rowwise
 
@@ -73,14 +77,21 @@ def outcome(parse, text):
         return exc.line, str(exc)
 
 
-def parses_as_oracle(text):
-    """Parse ``text`` and check the result against the oracle's; returns it."""
-    got, expected = outcome(mb.parse_matches, text), outcome(parse_matches_rowwise, text)
+def same_outcome(got, expected):
     if isinstance(expected, Dataset):
         assert isinstance(got, Dataset), got
         assert_same_dataset(got, expected)
     else:
         assert got == expected
+
+
+def parses_as_oracle(text):
+    """Parse ``text``, and a ``newline=""`` stream over it, and check each
+    result against the oracle's; returns the text's."""
+    got = outcome(mb.parse_matches, text)
+    same_outcome(got, outcome(parse_matches_rowwise, text))
+    same_outcome(outcome(mb.parse_matches, io.StringIO(text, newline="")),
+                 outcome(parse_matches_rowwise, io.StringIO(text, newline="")))
     return got
 
 
@@ -141,6 +152,7 @@ def test_two_faults_in_one_row_report_the_first_check(row, message, small_chunks
     ("1,A,Terran,B,Zerg,M,2011-01-01,x", "1,A,Terran"),
     ("1,A,Terran", "2,A,Terran,B,Zerg,M,2011-01-01,1"),
     ("1,A,Terran,B,Zerg,M", "1,A,Terran"),
+    ("1,A,Terran,B,Zerg,M,2011-01-01", "1,A,Terran,B,Zerg,M,2011-01-01,1,extra"),
     ("1,A,Terran,B,Zerg,M,2011-01-01,x", HEADER),
 ])
 @pytest.mark.parametrize("chunk", [2, 3, 4096])
@@ -234,11 +246,23 @@ def padded_csv(rows):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.text(alphabet=["a", ",", '"', "\r", "\n"], max_size=40), st.integers(0, 8))
-def test_text_is_read_in_blocks_as_one_stringio_reads_it(text, block):
+@given(st.text(alphabet=["a", ",", '"', "\r", "\n"], max_size=40), st.integers(1, 8))
+def test_text_is_read_in_blocks_as_one_stringio_reads_it(text, chunk):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "_BLOCK_CHARS", block)
-        assert list(data._lines(text)) == list(io.StringIO(text))
+        patch.setattr(data, "_CHUNK_ROWS", chunk)
+        patch.setattr(data, "_ROW_CHARS", 1)
+        blocks = list(data._blocks(text))
+        streamed = list(data._blocks(io.StringIO(text, newline="")))
+    assert "".join(blocks) == text
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    assert [line for block in blocks for line in io.StringIO(block)] == list(io.StringIO(text))
+    assert [line for block in streamed for line in block] == list(
+        io.StringIO(text, newline=""))
+    # the lines before a block's last fit in chunk - 1 characters, so a block
+    # holds at most ``chunk`` lines of a row's characters (readlines(0) reads all)
+    size = chunk - 1
+    for lines in [list(io.StringIO(block)) for block in blocks] + (streamed if size else []):
+        assert len("".join(lines[:-1])) <= size
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -248,8 +272,95 @@ def test_csv_round_trip_strips_padding_and_keeps_everything_else(padded, chunk):
     stripped = Dataset.from_records(games)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_CHUNK_ROWS", chunk)
-        patch.setattr(data, "_BLOCK_CHARS", chunk)
         for text in (padded_csv(rows), mb.dataset_to_csv(stripped)):
             got = parses_as_oracle(text)
             assert_same_dataset(got, stripped)
             assert got.records == stripped.records
+
+
+# cells that csv.reader reads apart from str.split, and ones it does not
+junk = st.text(alphabet=[",", '"', "\r", "\n", "\0", " ", "é", "\ud800", "1"], max_size=10)
+ROWS = [*GOOD, "1,é\ud800,Zerg,B,Terran,M,2011-01-01,5", " 1 , p0 ,Zerg,B,Terran,M\t,2011-01-01, 5",
+        '1,"two\nlines",Zerg,B,Terran,M,2011-01-01,5', '0,A,Zerg,"B,\r\n",Terran,M,2011-01-01,6']
+
+
+@st.composite
+def mixed_texts(draw):
+    """CSV text of valid rows with junk lines and junk cells among them,
+    ending its lines with LF, CRLF or CR."""
+    lines = [HEADER if draw(st.integers(0, 19)) else draw(junk)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 29))
+        line = draw(st.sampled_from(ROWS))
+        if kind == 0:  # one cell of a valid row
+            cells = line.split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(junk)
+            line = ",".join(cells)
+        elif kind == 1:
+            line = draw(junk)
+        lines.append(line)
+    ends = st.sampled_from(["\n"] * 12 + ["\r\n", "\r", ""])
+    return "".join(line + draw(ends) for line in lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mixed_texts(), st.sampled_from([1, 2, 3, 4096]))
+def test_plain_and_csv_blocks_parse_as_the_oracle(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_CHUNK_ROWS", chunk)
+        plain = [data._plain_cells(block) is not None for block in data._blocks(text)]
+        got = parses_as_oracle(text)
+    event("no block plain" if not plain[0] else "plain blocks, then csv blocks"
+          if False in plain else "every block plain")
+    event("ParseError" if isinstance(got, tuple) else "Dataset")
+
+
+def write_lines(path, lines, end):
+    path.write_bytes("".join(line + end for line in lines).encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_files_load_as_the_oracle_reads_their_lines(end, chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+    rows = [HEADER, *GOOD, ROWS[-2], ROWS[-1], *GOOD, "1,A,Terran,B,random,M,2011-01-01,5"]
+    for tail in ([], [FAULTS[0][0], *GOOD]):
+        path = write_lines(tmp_path / "games.csv", rows + tail, end)
+        got = outcome(cli._load_dataset, path)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            expected = outcome(lambda fh: mb.filter_valid(parse_matches_rowwise(fh)), fh)
+        same_outcome(got, expected)
+        if tail:  # after the two quoted cells that span two lines each
+            assert got[0] == len(rows) + 3
+        else:  # a quoted line break comes back as written
+            assert "two\nlines" in got.players and "B," in got.players
+
+
+def test_a_fault_after_plain_blocks_and_a_multiline_cell_names_its_line(tmp_path):
+    rows = [HEADER, *GOOD * 400, ROWS[-2], *GOOD, FAULTS[0][0], *GOOD]
+    fault = len(rows) - len(GOOD) + 1  # the multiline cell takes two lines
+    path = write_lines(tmp_path / "games.csv", rows, "\n")
+    blocks = list(data._blocks(path and "".join(row + "\n" for row in rows)))
+    assert data._plain_cells(blocks[0]) is not None and len(blocks) > 1
+    got = outcome(cli._load_dataset, path)
+    assert got == (fault, f"line {fault}: {FAULTS[0][1]}")
+    assert parses_as_oracle("".join(row + "\n" for row in rows)) == got
+
+
+def test_a_generated_league_is_split_without_csv_reader(monkeypatch):
+    truth = mb.random_league(60, n_maps=4, rng=np.random.default_rng(7),
+                             schedule="tournament_tail")
+    text = mb.dataset_to_csv(mb.generate(truth, 6000, np.random.default_rng(8)))
+    assert len(list(data._blocks(text))) > 2
+
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader read a plain block")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data.csv, "reader", reader)
+        from_text = mb.parse_matches(text)
+        from_stream = mb.parse_matches(io.StringIO(text, newline=""))
+    expected = parse_matches_rowwise(text)
+    assert_same_dataset(from_text, expected)
+    assert_same_dataset(from_stream, expected)

@@ -88,6 +88,22 @@ def test_complement_identity_many_pairings():
         assert abs(a + b - 1.0) < 1e-12
 
 
+def test_win_probability_is_predict_details_probability():
+    _, d = simple_league(44, n=500)
+    idx = mb.build_parameter_index(d, min_games=6)
+    fit = mb.fit_irls(mb.build_design(d, idx))
+    rng = np.random.default_rng(3)
+    players = sorted(d.players) + ["somebody_new"]
+    for _ in range(300):
+        p1, p2 = rng.choice(len(players), size=2, replace=False)
+        query = (players[p1], players[p2], *rng.choice(mb.RACES, size=2).tolist(),
+                 idx.maps[int(rng.integers(len(idx.maps)))])
+        p = mb.win_probability(fit, *query)
+        detail = mb.predict_detail(fit, *query)
+        assert type(p) is type(detail["probability"]) and p == detail["probability"]
+        assert p == mb.sigmoid(sum(detail["contributions"].values()))
+
+
 def test_common_shift_invariance():
     _, d = simple_league(42, n=300)
     idx = mb.build_parameter_index(d, min_games=4)
