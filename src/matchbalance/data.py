@@ -19,8 +19,9 @@ read as ``line.split(",")`` with 8 cells on every line (no quote, CR or
 NUL, exactly 7 commas a line, no cell over ``csv.field_size_limit()``),
 is split into cells with one ``str.split`` and sliced into 8 columns.
 From the first block that is not plain, csv.reader reads the rest of
-the source, the lines it would read of the whole source, a chunk of
-rows at a time, and each chunk is transposed into columns.  Either way,
+the source a chunk of rows at a time, given the lines it would be given
+for the whole source (a text's ``io.StringIO`` lines, a stream's own),
+and each chunk is transposed into columns.  Either way,
 each distinct raw cell is stripped, checked and coded once, and the
 columns' checks run as one fault mask per check before the next block
 or chunk is read.  So memory holds the coded columns and one block or
@@ -59,7 +60,6 @@ CSV_HEADER: tuple[str, ...] = (
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _MAX_DURATION = int(np.iinfo(np.int64).max)
 _CHUNK_ROWS = 4096  # rows read, checked and coded at a time
-_ROW_CHARS = 25  # characters in the shortest valid row, its line end included
 
 
 class ParseError(ValueError):
@@ -322,9 +322,10 @@ def _blocks(source: str | TextIO) -> Iterator[str | list[str]]:
     of its text that end at a line end (LF, where ``io.StringIO`` ends a
     line), a stream as lists of its own lines.
 
-    A block ends with the first line that reaches _CHUNK_ROWS * _ROW_CHARS
-    characters, so it holds no more valid rows than a chunk does."""
-    size = _CHUNK_ROWS * _ROW_CHARS - 1  # characters before the last line's end
+    The lines before a block's last hold fewer than 8 * _CHUNK_ROWS
+    characters.  A plain line has 7 commas and a line end, so a plain
+    block holds no more lines than a chunk holds rows."""
+    size = len(CSV_HEADER) * _CHUNK_ROWS - 1
     if isinstance(source, str):
         start = 0
         while start < len(source):

@@ -246,11 +246,10 @@ def padded_csv(rows):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.text(alphabet=["a", ",", '"', "\r", "\n"], max_size=40), st.integers(1, 8))
+@given(st.text(alphabet=["a", ",", '"', "\r", "\n"], max_size=60), st.integers(1, 4))
 def test_text_is_read_in_blocks_as_one_stringio_reads_it(text, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_CHUNK_ROWS", chunk)
-        patch.setattr(data, "_ROW_CHARS", 1)
         blocks = list(data._blocks(text))
         streamed = list(data._blocks(io.StringIO(text, newline="")))
     assert "".join(blocks) == text
@@ -258,11 +257,10 @@ def test_text_is_read_in_blocks_as_one_stringio_reads_it(text, chunk):
     assert [line for block in blocks for line in io.StringIO(block)] == list(io.StringIO(text))
     assert [line for block in streamed for line in block] == list(
         io.StringIO(text, newline=""))
-    # the lines before a block's last fit in chunk - 1 characters, so a block
-    # holds at most ``chunk`` lines of a row's characters (readlines(0) reads all)
-    size = chunk - 1
-    for lines in [list(io.StringIO(block)) for block in blocks] + (streamed if size else []):
-        assert len("".join(lines[:-1])) <= size
+    # the lines before a block's last fit in 8 * chunk - 1 characters, so a
+    # block holds at most ``chunk`` lines of 8 characters or more
+    for lines in [list(io.StringIO(block)) for block in blocks] + streamed:
+        assert len("".join(lines[:-1])) < 8 * chunk
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -340,12 +338,12 @@ def test_files_load_as_the_oracle_reads_their_lines(end, chunk, tmp_path, monkey
 def test_a_fault_after_plain_blocks_and_a_multiline_cell_names_its_line(tmp_path):
     rows = [HEADER, *GOOD * 400, ROWS[-2], *GOOD, FAULTS[0][0], *GOOD]
     fault = len(rows) - len(GOOD) + 1  # the multiline cell takes two lines
-    path = write_lines(tmp_path / "games.csv", rows, "\n")
-    blocks = list(data._blocks(path and "".join(row + "\n" for row in rows)))
+    text = "".join(row + "\n" for row in rows)
+    blocks = list(data._blocks(text))
     assert data._plain_cells(blocks[0]) is not None and len(blocks) > 1
-    got = outcome(cli._load_dataset, path)
+    got = outcome(cli._load_dataset, write_lines(tmp_path / "games.csv", rows, "\n"))
     assert got == (fault, f"line {fault}: {FAULTS[0][1]}")
-    assert parses_as_oracle("".join(row + "\n" for row in rows)) == got
+    assert parses_as_oracle(text) == got
 
 
 def test_a_generated_league_is_split_without_csv_reader(monkeypatch):
