@@ -325,7 +325,7 @@ def _blocks(source: str | TextIO) -> Iterator[str | list[str]]:
     The lines before a block's last hold fewer than 8 * _CHUNK_ROWS
     characters.  A plain line has 7 commas and a line end, so a plain
     block holds no more lines than a chunk holds rows."""
-    size = len(CSV_HEADER) * _CHUNK_ROWS - 1
+    size = 8 * _CHUNK_ROWS - 1
     if isinstance(source, str):
         start = 0
         while start < len(source):

@@ -64,6 +64,8 @@ def sigmoid(eta):
     Accepts scalars or arrays and returns a float for a scalar;
     satisfies sigmoid(-eta) == 1 - sigmoid(eta) up to one ulp.
     """
+    if isinstance(eta, float):  # a ufunc takes a float without a 0-d array
+        return float(scipy.special.expit(eta))
     out = scipy.special.expit(np.asarray(eta, dtype=float))
     return float(out) if out.ndim == 0 else out
 

@@ -49,6 +49,10 @@ def test_sigmoid_complement_and_monotonicity():
     assert np.all(np.diff(values) >= 0)
     assert np.max(np.abs(values + mb.sigmoid(-etas) - 1.0)) < 1e-15
     assert mb.sigmoid(800.0) == 1.0  # saturates, never raises
+    # a float, a 0-d array and an array element give the same bits
+    for eta, value in zip(etas.tolist() + [-800.0, 1e-300], values.tolist() + [0.0, 0.5]):
+        assert type(mb.sigmoid(eta)) is float
+        assert mb.sigmoid(eta) == mb.sigmoid(np.array(eta)) == value
 
 
 # ---------------------------------------------------------- log-likelihood
