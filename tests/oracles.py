@@ -448,8 +448,8 @@ def _date_ordinal_rowwise(text, line):
 def parse_matches_rowwise(source):
     """The row-by-row parser: each row is checked in turn, in the order the
     checks are listed, and kept as a tuple of fields until the end.  One
-    csv.reader reads the whole source; a text source is read as one
-    StringIO over it."""
+    csv.reader reads the whole source, a text source as one StringIO over
+    it, and a CSV syntax error is a ParseError naming the reader's line."""
     if isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)
