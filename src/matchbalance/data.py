@@ -346,13 +346,18 @@ def _plain_cells(block: str | list[str]) -> list[str] | None:
     """The cells of a plain block, line after line, or None.
 
     A block is plain when csv.reader would read each of its lines as
-    ``line.split(",")`` with 8 cells: it holds no quote, CR or NUL, every
-    line has exactly 7 commas (so none is blank), and no cell is longer
-    than ``csv.field_size_limit()``.  The first cell of every line after
-    the first keeps the LF before it, which stripping removes."""
+    ``line.split(",")`` with 8 cells, once each CRLF line end is an LF: it
+    holds no quote, NUL or CR but those of CRLFs, every line has exactly 7
+    commas (so none is blank), and no cell is longer than
+    ``csv.field_size_limit()``.  The first cell of every line after the
+    first keeps the LF before it, which stripping removes."""
     text = block if isinstance(block, str) else "".join(block)
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None  # a CR that ends no CRLF: csv.reader reads it as a line end
+        text = text.replace("\r\n", "\n")
     cells = text.replace("\n", ",\n").split(",")
     if text.endswith("\n"):
         cells.pop()

@@ -13,7 +13,11 @@ Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
-Both steps are array operations on a dataset's integer-coded columns.
+Both steps are array operations on a dataset's integer-coded columns:
+each player code and map code has its columns (``_columns``, or
+``_index`` with the index it builds), each coded row's three entries
+are lookups in them (``_slots``), and rows are keyed and merged from
+those entries (``_merge``), never read back from a per-game matrix.
 The design is held as its distinct rows up to sign, one ``scipy.sparse``
 CSR matrix, each row with its game and win counts (``_merge``), and
 each game keeps the number of its row and its sign (``EncodedDataset``):
@@ -27,7 +31,8 @@ its games, encoded once each, and merged with their counts summed
 (``_counted_design``).  That gives every bit of the index and the
 design of the same games taken row by row.  How many directions the
 anchoring leaves unidentified follows from the design's structure alone
-(``_nullity``), which the fit reads once.
+(``_nullity``), which the fit reads once, for every design of a stack
+in one call.
 """
 
 from __future__ import annotations
@@ -110,14 +115,19 @@ def build_parameter_index(
     by lexicographically smallest id.  Matchup columns are created for
     every (map, canonical pair) combination, observed or not.
     """
-    return _index(d, d._rows, None, min_games, ensure_identifiable)
+    return _index(d, d._rows, None, min_games, ensure_identifiable)[0]
 
 
 def _index(d: Dataset, rows: np.ndarray, m: np.ndarray | None, min_games: int,
-           ensure_identifiable: bool = True) -> ParameterIndex:
+           ensure_identifiable: bool = True
+           ) -> tuple[ParameterIndex, np.ndarray, np.ndarray]:
     """The index of the games on the coded ``rows`` of ``d`` (player1,
     player2, race1, race2, map, ...), row i holding m[i] games, or one
-    each when ``m`` is None: :func:`build_parameter_index`'s body."""
+    each when ``m`` is None: :func:`build_parameter_index`'s body.
+
+    Also returns the column of each player code and the 3 matchup columns
+    of each map code, -1 where the index has none (``_columns``).
+    """
     if not len(rows):
         raise ValueError("cannot index an empty dataset")
     if min_games < 1:
@@ -138,11 +148,16 @@ def _index(d: Dataset, rows: np.ndarray, m: np.ndarray | None, min_games: int,
         fewest = by_games[np.cumsum(sizes) - sizes]
         anchored[fewest[np.bincount(component, weights=anchored) == 0]] = True
 
+    free, maps = live[~anchored], np.unique(rows[:, 4])
+    player = np.full(size, -1, np.intc)
+    player[free] = np.arange(len(free))
+    matchup = np.full((len(d._maps), 3), -1, np.intc)
+    matchup[maps] = len(free) + np.arange(3 * len(maps)).reshape(-1, 3)
     names = np.array(d._players, dtype=object)[live]
     groups = np.split(names[np.argsort(component, kind="stable")], np.cumsum(sizes)[:-1])
-    return _layout(names[~anchored].tolist(), names[anchored].tolist(),
-                   [d._maps[code] for code in np.unique(rows[:, 4]).tolist()],
-                   sorted(groups, key=min))
+    idx = _layout(names[~anchored].tolist(), names[anchored].tolist(),
+                  [d._maps[code] for code in maps.tolist()], sorted(groups, key=min))
+    return idx, player, matchup
 
 
 def _layout(players, anchored_players, maps, components) -> ParameterIndex:
@@ -205,36 +220,33 @@ class EncodedDataset:
                               row, sign, response, self.index)
 
 
-def _merge(X: scipy.sparse.csr_array, games: np.ndarray, wins: np.ndarray):
-    """The distinct rows of ``X`` up to sign, with their game and win
-    counts, given the ``games`` and ``wins`` of each row of ``X``.
+def _merge(slots: np.ndarray, sign: np.ndarray, p: int, games: np.ndarray,
+           wins: np.ndarray):
+    """The distinct rows up to sign of the design whose row i has its
+    player1, player2 and matchup entries at the columns ``slots[i]`` (-1
+    for no entry) with signs +1, -1 and ``sign[i]`` (``_slots``), with
+    their game and win counts, given the ``games`` and ``wins`` of each
+    row; matchup columns follow the player columns.
 
     Each row is oriented so that its first (lowest-column) entry is +1,
     its wins becoming its losses where that flips it, and rows equal
     after orienting are merged, their counts summed: X' diag(w) X over
     the games is then X' diag(m w) X over these rows.  Returns their
     (r, p) CSR matrix, in the order of an integer key per row (three
-    base-(2p + 2) digits, one per signed entry, in an int64, so p can
-    reach about a million), the number m of games per row and the number
-    k of those its oriented player1 won, both as floats.  Empty rows
-    (same-race games between anchored players) merge into one row with
-    no entries.  The counts are whole numbers, so every sum is exact:
-    neither the order of the rows nor how their games are split among
-    equal rows moves any bit of the result.  Also returns, for each row
-    of ``X``, its merged row and its orientation (+1 or -1, as int8).
+    base-(2p + 2) digits, one per signed entry in column order, then 0s,
+    in an int64, so p can reach about a million), the number m of games
+    per row and the number k of those its oriented player1 won, both as
+    floats.  Empty rows (same-race games between anchored players) merge
+    into one row with no entries.  The counts are whole numbers, so
+    every sum is exact: neither the order of the rows nor how their
+    games are split among equal rows moves any bit of the result.  Also
+    returns, for each row, its merged row and its orientation (+1 or -1,
+    as int8).
     """
-    p = X.shape[1]
-    start, length = X.indptr[:-1], np.diff(X.indptr)
-    # 1-based signed column per entry, then a 0 that rows shorter than 3 read
-    signed = np.append(np.where(X.data > 0, X.indices + 1, -1 - X.indices), 0)
-    orient = np.where((length > 0) & (signed.take(start, mode="clip") < 0), -1, 1)
     base = 2 * p + 2
     if base ** 3 > np.iinfo(np.int64).max:
         raise ValueError(f"{p} columns are too many for the design's row keys")
-    key = np.zeros(len(start), np.int64)
-    for j in range(3):
-        key = key * base + np.where(
-            length > j, signed.take(start + j, mode="clip") * orient + (p + 1), 0)
+    key, orient = _row_keys(slots, sign, p)
     won = np.where(orient > 0, wins, games - wins)
     keys, row = np.unique(key, return_inverse=True)
     games = np.bincount(row, weights=games, minlength=len(keys))
@@ -247,6 +259,26 @@ def _merge(X: scipy.sparse.csr_array, games: np.ndarray, wins: np.ndarray):
         (np.sign(entries).astype(float), (np.abs(entries) - 1).astype(np.intc), indptr),
         shape=(len(keys), p))
     return rows, games, wins, row, orient.astype(np.int8)
+
+
+def _row_keys(slots: np.ndarray, sign: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_merge``'s key of each row and its orientation, +1 or -1; apart,
+    so that its row-sized temporaries are freed before the merge."""
+    one, two, third = slots.T
+    # 1-based signed column per entry, 0 for none; the player entries in column order
+    swap = (two >= 0) & ((one < 0) | (two < one))
+    one, two = np.where(one >= 0, one + 1, 0), np.where(two >= 0, -1 - two, 0)
+    first, second = np.where(swap, two, one), np.where(swap, one, two)
+    third = np.where(third >= 0, (third + 1) * sign, 0)
+    orient = np.where(np.where(first != 0, first, third) < 0, -1, 1)
+    base = 2 * p + 2
+    key, digits = np.zeros(len(slots), np.int64), np.zeros(len(slots), np.int64)
+    for entry in (first, second, third):
+        present = entry != 0
+        key = np.where(present, key * base + entry * orient + (p + 1), key)
+        digits += present
+    key *= base ** (3 - digits)
+    return key, orient
 
 
 def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
@@ -277,36 +309,35 @@ def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     The caller has checked the race tags (``_check``).
     """
     response = d._rows[:, 5].astype(np.int8)
-    return EncodedDataset(*_merge(_design_matrix(d, d._rows, idx), np.ones(len(response)),
-                                  response), response, idx)
+    return EncodedDataset(*_merge(*_slots(d._rows, *_columns(d, idx)), idx.p,
+                                  np.ones(len(response)), response), response, idx)
 
 
-def _design_matrix(d: Dataset, rows: np.ndarray,
-                   idx: ParameterIndex) -> scipy.sparse.csr_array:
-    """The CSR design of the coded ``rows`` of ``d`` (player1, player2,
-    race1, race2, map, ...), in order.
-
-    Each row has a player1, a player2 and a matchup slot holding a
-    column, or -1 when the slot has no entry; the slots with a column
-    are the COO triplets (row, column, sign).  Players and maps the
-    index does not know contribute nothing, as anchored players do.
-    Race codes must be those of RACES.
-    """
-    p1, p2, r1, r2, m = rows[:, :5].T
+def _columns(d: Dataset, idx: ParameterIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The column of each player code of ``d`` and the 3 matchup columns of
+    each map code, in canonical pair order, -1 where ``idx`` has none:
+    players and maps the index does not know get no entry, as anchored
+    players do."""
     player = np.array([idx.player_columns.get(p, -1) for p in d._players], np.intc)
     matchup = np.array([[idx.matchup_columns.get((name, pair), -1)
                          for pair in CANONICAL_PAIRS] for name in d._maps],
                        np.intc).reshape(-1, 3)
+    return player, matchup
+
+
+def _slots(rows: np.ndarray, player: np.ndarray,
+           matchup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the design rows of the coded ``rows`` (player1,
+    player2, race1, race2, map, ...), given the columns of each player code
+    and map code (``_columns``): per row its player1, player2 and matchup
+    column, -1 for no entry, and the sign of its matchup entry, for
+    ``_merge``.  Race codes must be those of RACES.
+    """
+    p1, p2, r1, r2, m = rows[:, :5].T
     pair, sign = _ORIENTED[r1, r2].T
     slots = np.stack([player[p1], player[p2], np.where(pair >= 0, matchup[m, pair], -1)],
                      axis=1)
-    signs = np.stack([np.ones_like(sign), -np.ones_like(sign), sign], axis=1)
-    present = slots >= 0
-    indptr = np.r_[0, np.cumsum(present.sum(axis=1))].astype(np.intc)
-    X = scipy.sparse.csr_array((signs[present].astype(float), slots[present], indptr),
-                               shape=(len(slots), idx.p))
-    X.sort_indices()
-    return X
+    return slots, sign
 
 
 def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDataset:
@@ -328,9 +359,9 @@ def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDa
     rows, m = coded[kept], m[kept]
     if (rows[:, 2:4] >= len(RACES)).any():
         raise EncodingError("a game has an unrecognized race tag")
-    idx = _index(d, rows, m, min_games)
+    idx, player, matchup = _index(d, rows, m, min_games)
     X, games, wins, row, orient = _merge(
-        _design_matrix(d, rows, idx), m.astype(float),
+        *_slots(rows, player, matchup), idx.p, m.astype(float),
         np.bincount(drawn, weights=won, minlength=len(coded))[kept])
     position = np.zeros(len(coded), np.intp)
     position[kept] = np.arange(len(kept))
@@ -346,76 +377,109 @@ def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     return _encode(d, idx)
 
 
-def _nullity(X: scipy.sparse.csr_array, Xt: scipy.sparse.csr_array, players: int,
-             gram: scipy.sparse.csr_array) -> int:
-    """Dimension of the null space of a design whose every column holds data.
+def _nullity(X: scipy.sparse.csr_array, gram: scipy.sparse.csr_array, sizes: np.ndarray,
+             players: np.ndarray) -> np.ndarray:
+    """Dimension of the null space of each diagonal block of a block-diagonal
+    design whose every column holds data.
 
-    ``Xt`` is the design's transpose as CSR.  The first ``players``
-    columns are player columns, the other k matchup columns; ``gram`` is
-    X'DX for a positive diagonal D, with X'X's pattern and rank (the
-    fit passes X'WX at beta = 0, D = m/4).  Anchored players merge into
-    one ground node.  A BFS forest of the opponent graph gives each
-    player an integer potential psi over the matchup columns such that
-    every tree game's row of X Z vanishes, Z = [psi; I].  A null vector then shifts
-    the players of one component without ground, or is Z v with
-    X Z v = 0, so the nullity is the number of such components plus
-    k - rank(Z' X'X Z).
+    Block j owns ``sizes[j]`` consecutive columns, the first ``players[j]``
+    of them player columns and the other k_j matchup columns, and each row
+    of X has its entries in one block.  ``gram`` is X'DX for a positive
+    diagonal D, with X'X's pattern and rank (the fit passes X'WX at
+    beta = 0, D = m/4).  Anchored players merge into one ground node,
+    which no traversal passes through, so it joins no two blocks.  A BFS
+    forest of the opponent graph, grown from a virtual node joined to a
+    root of every component, gives each player an integer potential psi
+    over its block's matchup columns such that every tree game's row of
+    X Z vanishes, Z = [psi; I].  A null vector of a block then shifts the
+    players of one of its components without ground, or is Z v with
+    X Z v = 0, so its nullity is the number of such components plus
+    k_j - rank(Z' X'X Z).  Every step acts on each block's rows, columns
+    and nodes alone, so a block's nullity is the same in any stack.
     """
-    (n, p), ground = X.shape, players
-    k = p - players
-    split = Xt.indptr[players]
-    # each game's player1 and player2 node; ground stands for anchored players
-    ends = np.full(2 * n, ground)
-    ends[Xt.indices[:split] + n * (Xt.data[:split] < 0)] = np.repeat(
-        np.arange(players), np.diff(Xt.indptr[:players + 1]))
-    u, v = ends[:n], ends[n:]
-    grounded = np.zeros(players + 1, bool)
-    grounded[np.where(v == ground, u, ground)] = True
-    grounded[np.where(u == ground, v, ground)] = True
+    (n, p), blocks = X.shape, len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    matchups = starts + players  # each block's first matchup column
+    block = np.repeat(np.arange(blocks), sizes)  # of each column
+    is_player = np.arange(p) < np.repeat(matchups, sizes)
+    # nodes: the columns, then a virtual node, the ground and a sentinel
+    virtual, ground, sentinel = p, p + 1, p + 2
+    u, v = _ends(X, is_player, ground)
+    grounded = np.zeros(sentinel + 1, bool)
+    grounded[np.where(v == ground, u, sentinel)] = True
+    grounded[np.where(u == ground, v, sentinel)] = True
 
     # X'X's player rows: the opponent graph, symmetric, plus edges into
     # the matchup nodes, which have none out.  Directed traversal of it
     # therefore equals undirected traversal of the players, with each
-    # matchup node a component of its own, and skips a transpose.
-    nnz = gram.indptr[players]
-    graph = scipy.sparse.csr_array(
-        (gram.data[:nnz], gram.indices[:nnz],
-         np.append(gram.indptr[:players + 1], np.full(k, nnz, gram.indptr.dtype))),
-        shape=(p, p))
-    count, labels = connected_components(graph, directed=True, connection="strong")
+    # matchup node a component of its own, and skips a transpose.  The
+    # forest's graph is this one plus the virtual node's row of roots, in
+    # the same buffers.
+    lengths = np.where(is_player, np.diff(gram.indptr), 0)
+    edges, nodes = int(lengths.sum()), np.flatnonzero(is_player)
+    indices = np.empty(edges + len(nodes), gram.indices.dtype)
+    indices[:edges] = gram.indices[np.repeat(is_player, np.diff(gram.indptr))]
+    indptr = np.zeros(p + 2, gram.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:-1])
+    ones = np.ones(len(indices))
+    graph = scipy.sparse.csr_array((ones[:edges], indices[:edges], indptr[:-1]), shape=(p, p))
+    labels = connected_components(graph, directed=True, connection="strong")[1]
     # root each component at a player who met an anchored one, if any, hung from ground
-    by_label = np.lexsort((~grounded[:players], labels[:players]))
+    by_label = nodes[np.lexsort((~grounded[nodes], labels[nodes]))]
     roots = by_label[np.unique(labels[by_label], return_index=True)[1]]
-    parent = np.full(players + 1, -1)
-    for root in roots:
-        order, pred = breadth_first_order(graph, root, directed=True)
-        order = order[order < players]
-        parent[order[1:]] = pred[order[1:]]
-    parent[roots[grounded[roots]]] = ground
+    indices[edges:edges + len(roots)] = roots
+    indptr[-1] = edges + len(roots)
+    forest = scipy.sparse.csr_array((ones[:indptr[-1]], indices[:indptr[-1]], indptr),
+                                    shape=(p + 1, p + 1))
+    pred = breadth_first_order(forest, virtual, directed=True)[1]
+    parent = np.full(sentinel + 1, -1)
+    parent[nodes] = pred[nodes]
+    parent[roots] = np.where(grounded[roots], ground, -1)
     # a tree game per child: any game between the child and its parent
-    tree = np.full(players + 2, -1)
-    games = np.arange(n)
-    tree[np.where(parent[u] == v, u, players + 1)] = games
-    tree[np.where(parent[v] == u, v, players + 1)] = games
-    child = np.flatnonzero(tree[:players] >= 0)
+    tree = np.full(sentinel + 1, -1)
+    tree[np.where(parent[u] == v, u, sentinel)] = np.arange(n)
+    tree[np.where(parent[v] == u, v, sentinel)] = np.arange(n)
+    child = np.flatnonzero(tree[:p] >= 0)
     game = tree[child]
 
     # psi[child] - psi[parent] cancels the game's matchup entry s, the
     # last of its row: -s when the child is player1, +s when player2
     last = X.indptr[game + 1] - 1
-    entry = X.indices[last] >= players
+    entry = ~is_player[X.indices[last]]
     child, game, last = child[entry], game[entry], last[entry]
-    psi = np.zeros((players + 1, k))
-    psi[child, X.indices[last] - players] = np.where(u[game] == child, -1.0, 1.0) \
+    column = X.indices[last]
+    k = sizes - players
+    psi = np.zeros((sentinel + 1, k.max(initial=0)))
+    psi[child, column - matchups[block[column]]] = np.where(u[game] == child, -1.0, 1.0) \
         * X.data[last]
     # pointer doubling sums each node's steps up to its root
-    up = np.where(parent >= 0, parent, np.arange(players + 1))
+    up = np.where(parent >= 0, parent, np.arange(sentinel + 1))
     while np.any(up[up] != up):
         psi += psi[up]
         up = up[up]
 
-    Z = np.vstack([psi[:players], np.eye(k)])
-    eigenvalues = np.linalg.eigvalsh(Z.T @ (gram @ Z))  # of a k x k Gram matrix
-    rank = np.count_nonzero(eigenvalues > eigenvalues.max(initial=0.0) * k * np.finfo(float).eps)
-    ungrounded = len(roots) - np.count_nonzero(grounded[roots])
-    return int(ungrounded + k - rank)
+    Z = psi[:p]
+    column = np.flatnonzero(~is_player)
+    Z[column, column - matchups[block[column]]] = 1.0
+    product = gram @ Z
+    nullity = np.bincount(block[roots[~grounded[roots]]], minlength=blocks)
+    for j, (lo, hi, kj) in enumerate(zip(starts.tolist(), (starts + sizes).tolist(),
+                                         k.tolist())):
+        Zj = np.ascontiguousarray(Z[lo:hi, :kj])
+        eigenvalues = np.linalg.eigvalsh(Zj.T @ np.ascontiguousarray(product[lo:hi, :kj]))
+        nullity[j] += kj - np.count_nonzero(
+            eigenvalues > eigenvalues.max(initial=0.0) * kj * np.finfo(float).eps)
+    return nullity
+
+
+def _ends(X: scipy.sparse.csr_array, is_player: np.ndarray,
+          ground: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's player1 and player2 node: the column of its +1 and of its
+    -1 player entry, or ``ground`` for an anchored player; apart, so that
+    its entry-sized temporaries are freed before the traversal."""
+    n = X.shape[0]
+    ends = np.full(2 * n, ground, np.intc)
+    row = np.repeat(np.arange(n, dtype=np.intc), np.diff(X.indptr))
+    on_player = is_player[X.indices]
+    ends[row[on_player] + n * (X.data[on_player] < 0)] = X.indices[on_player]
+    return ends[:n], ends[n:]

@@ -8,15 +8,22 @@ form of the same Bernoulli likelihood, whose work per iteration grows
 with the distinct rows, not with the games.  Each Newton direction
 solves the sparse weighted normal equations X'WX d = X'(k - m pi),
 W = diag(m pi (1 - pi)), by Jacobi-preconditioned conjugate gradients,
-so the fit never forms a dense p x p matrix.  The L1 fit runs the same
-loop as proximal Newton: soft-thresholded steps solve each direction,
-so exactly-zero coefficients are representable.  Matchup columns with no
+so the fit never forms a dense p x p matrix.  The solve is inexact
+Newton (Dembo, Eisenstat & Steihaug 1982): conjugate gradients stop at
+a residual of sqrt(tolerance) relative to the right-hand side, while
+the fit stops at a relative deviance change of ``tolerance``; on the
+benchmark's leagues that takes as many Newton steps as a solve to
+1e-10 does.  The residual, the weights and the deviance each take one
+exp(-|eta|) per row.  The L1 fit runs the same loop as proximal
+Newton: soft-thresholded steps solve each direction, so exactly-zero
+coefficients are representable.  Matchup columns with no
 observations are frozen at their start value and excluded from the
 solve (they are reported as having no data rather than dropped from
 the index).
 
 When the active design is rank-deficient, which the unpenalized fit
-tests once from the design's structure (``design._nullity``), every
+tests once from the design's structure (``design._nullity``, one call
+for every block of a stack), every
 Newton system has its diagonal scaled by ``1 + LAST_RESORT_RIDGE``.
 This ridge is relative to the Jacobi diagonal, so it stays small beside
 weights capped near zero.  It picks the unidentified directions, and
@@ -42,18 +49,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.special
 from scipy.sparse import _sparsetools
 
-from .design import EncodedDataset, ParameterIndex, _layout, _nullity
+from .data import RACES
+from .design import (EncodedDataset, ParameterIndex, _layout, _nullity,
+                     canonical_orientation)
 from .jsonio import _NUMBER, _check_shape
 
 LAST_RESORT_RIDGE = 1e-10
 MAX_STEP_HALVINGS = 30
-_SOLVE_TOLERANCE = 1e-10  # CG: residual relative to |rhs|; prox: largest move
+_SOLVE_TOLERANCE = 1e-10  # prox: the largest move at which it stops
 _SOLVE_STEPS_PER_COLUMN = 10
 _STACK_ROWS = 1 << 13  # distinct rows at which a stack of fits closes
 
@@ -90,11 +99,11 @@ def _log_loss(eta: np.ndarray, games: np.ndarray, wins: np.ndarray,
     at ``starts``, of rows with linear predictors eta, each won ``wins``
     times in ``games``: sum m log(1 + e^-eta) + (m - k) eta.
 
-    Computed as m log(1 + e^-|eta|) + k max(-eta, 0) + (m - k) max(eta, 0),
-    one logaddexp per row and every term nonnegative, so a row whose
-    games were all won or all lost loses no digits to cancellation.
+    Computed as m log1p(e^-|eta|) + k max(-eta, 0) + (m - k) max(eta, 0),
+    one exp per row and every term nonnegative, so a row whose games
+    were all won or all lost loses no digits to cancellation.
     """
-    return np.add.reduceat(games * np.logaddexp(0.0, -np.abs(eta))
+    return np.add.reduceat(games * np.log1p(np.exp(-np.abs(eta)))
                            + wins * np.maximum(-eta, 0.0)
                            + (games - wins) * np.maximum(eta, 0.0), starts)
 
@@ -107,10 +116,20 @@ def score(beta: np.ndarray, data: EncodedDataset) -> np.ndarray:
 
 
 def _residual(eta: np.ndarray, games: np.ndarray, wins: np.ndarray):
-    """(k - m pi, pi (1 - pi)) per row, with 1 - pi taken as sigmoid(-eta),
-    which keeps its digits when a row's outcome is all but certain."""
-    pi, miss = sigmoid(eta), sigmoid(-eta)
-    return wins * miss - (games - wins) * pi, pi * miss
+    """(k - m pi, pi (1 - pi)) per row, from one e = exp(-|eta|): the
+    likelier side's probability is 1/(1 + e) and the other's e/(1 + e),
+    so 1 - pi keeps its digits when a row's outcome is all but certain."""
+    e = np.exp(-np.abs(eta))
+    # buffers are reused in place: this call is the fit's peak of memory
+    near = 1.0 + e
+    far = np.divide(e, near, out=e)
+    near = np.divide(1.0, near, out=near)
+    ahead = eta >= 0.0
+    pi, miss = np.where(ahead, near, far), np.where(ahead, far, near)
+    variance = np.multiply(near, far, out=near)
+    residual = np.multiply(wins, miss, out=miss)
+    residual -= np.multiply(games - wins, pi, out=pi)
+    return residual, variance
 
 
 @dataclass(frozen=True)
@@ -169,6 +188,23 @@ class FitResult:
 
     def matchup_estimate(self, map_name: str, pair: tuple[str, str]) -> float:
         return float(self.coefficients[self.index.matchup_column(map_name, pair)])
+
+    @cached_property
+    def _lookup(self) -> tuple[dict[str, float], dict[tuple[str, str, str], float]]:
+        """Each fitted player's estimate, and each (map, race1, race2)'s signed
+        matchup term, 0.0 for a same-race pair, as Python floats: the terms
+        of ``predict.win_probability``, read from ``coefficients`` once, at
+        the first query."""
+        beta = self.coefficients.tolist()
+        players = {player: beta[col] for player, col in self.index.player_columns.items()}
+        terms = {}
+        for race1 in RACES:
+            for race2 in RACES:
+                pair, sign = canonical_orientation(race1, race2)
+                for m in self.index.maps:
+                    terms[m, race1, race2] = 0.0 if pair is None else \
+                        sign * beta[self.index.matchup_columns[m, pair]]
+        return players, terms
 
     def fitted_probabilities(self, data: EncodedDataset) -> np.ndarray:
         """Per-game win probabilities, in game order, with the fitting-time cap applied."""
@@ -395,18 +431,13 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
             diagonal = hessian.diagonal()
             if iterations == 1:
                 # every weight is m/4 at beta = 0, so this X'WX is X'MX / 4
-                if len(s.blocks) == 1:  # the stack's transpose and X'WX are the block's
-                    stabilized = [_nullity(s.X, s.Xt, s.blocks[0].players, hessian) > 0]
-                else:
-                    stabilized = [
-                        _nullity(b.X, b.X.T.tocsr(), b.players,
-                                 hessian[lo:lo + b.active.size, lo:lo + b.active.size]) > 0
-                        for lo, b in zip(_starts(s.sizes).tolist(), s.blocks)]
+                players = np.array([b.players for b in s.blocks])
+                stabilized = (_nullity(s.X, hessian, s.sizes, players) > 0).tolist()
             if any(stabilized):
                 diagonal *= s.spread(np.where(stabilized, 1.0 + LAST_RESORT_RIDGE, 1.0),
                                      s.sizes)
                 hessian.setdiag(diagonal)
-            solution, solved = _cg(hessian, diagonal, g, s)
+            solution, solved = _cg(hessian, diagonal, g, s, math.sqrt(opts.tolerance))
             if not solved.all():
                 solution = np.where(s.spread(solved, s.sizes), solution, 0.0)
             solved = solved.tolist()
@@ -473,13 +504,13 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
     return out
 
 
-def _cg(matrix, diagonal: np.ndarray, rhs: np.ndarray,
-        stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
+def _cg(matrix, diagonal: np.ndarray, rhs: np.ndarray, stack: _Stack,
+        tolerance: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve each diagonal block of matrix x = rhs by Jacobi-preconditioned
     conjugate gradients, the blocks of ``stack`` all at once.
 
     Each block takes its own steps.  A block stops once its residual is
-    within ``_SOLVE_TOLERANCE`` of its |rhs|, or after
+    within ``tolerance`` of its |rhs|, or after
     ``_SOLVE_STEPS_PER_COLUMN`` iterations per unknown, or at a direction
     without positive curvature; from then on its step sizes are 0, so
     none of its numbers moves.  Returns the iterate and whether each
@@ -498,7 +529,7 @@ def _cg(matrix, diagonal: np.ndarray, rhs: np.ndarray,
     np.multiply(z, r, out=second)
     both = np.add.reduceat(sums, stack.ends_twice)[::2]
     rr, rz = both[:k], both[k:]
-    bound = _SOLVE_TOLERANCE ** 2 * rr  # on the squared residual norm
+    bound = tolerance ** 2 * rr  # on the squared residual norm
     live = rr > bound
     # a stopped block passes the curvature test and never meets the bound again
     least = np.where(live, 0.0, -np.inf).tolist()

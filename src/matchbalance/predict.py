@@ -60,8 +60,17 @@ def win_probability(
     map_name: str,
 ) -> float:
     """Probability that player1 beats player2 with these races on this map:
-    ``predict_detail``'s probability, without its breakdown."""
-    return sigmoid(_terms(fit, player1, player2, race1, race2, map_name)[0])
+    ``predict_detail``'s probability, without its breakdown.
+
+    The terms come from the fit's lookup (``FitResult._lookup``); a query
+    it cannot answer (one player on both sides, an unrecognized race tag,
+    a map the fit does not know) goes through ``_terms``, which answers
+    it or raises."""
+    players, terms = fit._lookup
+    term = terms.get((map_name, race1, race2))
+    if term is None or player1 == player2:
+        return sigmoid(_terms(fit, player1, player2, race1, race2, map_name)[0])
+    return sigmoid(players.get(player1, 0.0) - players.get(player2, 0.0) + term)
 
 
 def rank_players(fit: FitResult) -> list[tuple[str, float]]:

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse
+import scipy.special
 
 from matchbalance.data import (_DATE, _MAX_DURATION, CSV_HEADER, RACES, Dataset,
                                DescriptiveStats, ParseError)
@@ -221,6 +222,21 @@ def brute_force_log_likelihood(beta, rows, response):
         pi = 1.0 / (1.0 + exp(-eta))
         total += log(pi) if y == 1 else log(1.0 - pi)
     return total
+
+
+def log_loss_logaddexp(eta, games, wins, starts):
+    """The fit's per-block loss (``glm._log_loss``) in the form of one
+    logaddexp per row: sum m log(1 + e^-|eta|) + k max(-eta, 0) + (m - k) max(eta, 0)."""
+    return np.add.reduceat(games * np.logaddexp(0.0, -np.abs(eta))
+                           + wins * np.maximum(-eta, 0.0)
+                           + (games - wins) * np.maximum(eta, 0.0), starts)
+
+
+def residual_expit(eta, games, wins):
+    """(k - m pi, pi (1 - pi)) per row (``glm._residual``) from two expit
+    calls, with 1 - pi taken as expit(-eta)."""
+    pi, miss = scipy.special.expit(eta), scipy.special.expit(-eta)
+    return wins * miss - (games - wins) * pi, pi * miss
 
 
 def predict_record(fit, record):

@@ -209,15 +209,18 @@ def test_all_zero_row_for_anchored_same_race_game():
 
 def test_row_keys_refuse_a_design_too_wide_for_int64():
     for p, fits in ((1_048_574, True), (1_048_575, False)):  # 2p + 2 = 2^21 - 2, 2^21
-        # about the largest key: digits 2p - 1, 2p and 2p + 1
-        X = scipy.sparse.csr_array(([1.0] * 3, [p - 3, p - 2, p - 1], [0, 3]), shape=(1, p))
+        # about the largest key: digits 2p - 1, 2 and 2p + 1
+        slots, sign = np.array([[p - 3, p - 2, p - 1]]), np.array([1])
+        X = scipy.sparse.csr_array(([1.0, -1.0, 1.0], [p - 3, p - 2, p - 1], [0, 3]),
+                                   shape=(1, p))
         if fits:
-            rows, games, wins, row, sign = design._merge(X, np.ones(1), np.ones(1))
+            rows, games, wins, row, sign = design._merge(slots, sign, p, np.ones(1),
+                                                         np.ones(1))
             assert (rows != X).nnz == 0 and games.tolist() == wins.tolist() == [1.0]
             assert row.tolist() == [0] and sign.tolist() == [1]
         else:
             with pytest.raises(ValueError, match="too many"):
-                design._merge(X, np.ones(1), np.ones(1))
+                design._merge(slots, sign, p, np.ones(1), np.ones(1))
 
 
 def test_index_json_round_trip():

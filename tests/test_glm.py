@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
@@ -16,8 +17,10 @@ from oracles import (
     encode_row,
     finite_diff_score,
     gd_maximize,
+    log_loss_logaddexp,
     per_game,
     quad_chi_square_sf,
+    residual_expit,
 )
 
 
@@ -56,6 +59,39 @@ def test_sigmoid_complement_and_monotonicity():
 
 
 # ---------------------------------------------------------- log-likelihood
+
+def test_one_exp_loss_and_residual_match_the_logaddexp_and_expit_forms():
+    rng = np.random.default_rng(5)
+    edge = 709.0 + np.geomspace(1e-3, 91.0, 200)  # where expit and exp(-|eta|) underflow
+    eta = np.concatenate([np.linspace(-800.0, 800.0, 16001), rng.uniform(-40.0, 40.0, 4000),
+                          [0.0, -0.0, 5e-324, -5e-324], edge, -edge])
+    games = rng.integers(1, 6, eta.size).astype(float)
+    wins = np.floor(rng.uniform(0.0, games + 1.0))
+    rows = np.arange(eta.size)
+
+    def within_ulps(got, want, scale):
+        return np.abs(got - want) <= 4 * np.spacing(scale)
+
+    loss = glm._log_loss(eta, games, wins, rows)
+    assert np.all(within_ulps(loss, log_loss_logaddexp(eta, games, wins, rows), loss))
+    residual, variance = glm._residual(eta, games, wins)
+    want_residual, want_variance = residual_expit(eta, games, wins)
+    # expit underflows to 0 from |eta| of about 709.78, e/(1 + e) only past 745:
+    # there the one-exp form keeps a subnormal probability
+    tiny = np.finfo(float).tiny
+    under = (want_variance == 0.0) & (np.exp(-np.abs(eta)) > 0.0)
+    assert under.sum() > 50 and np.all((0.0 < variance[under]) & (variance[under] < tiny))
+    assert np.all(np.abs(residual - want_residual)[under] <= games[under] * tiny)
+    # elsewhere a few ulps; the residual's two terms, whose sum may cancel, scale its ulps
+    terms = wins * scipy.special.expit(-eta) + (games - wins) * scipy.special.expit(eta)
+    assert np.all(within_ulps(residual, want_residual, terms)[~under])
+    assert np.all(within_ulps(variance, want_variance, want_variance)[~under])
+    # swapping the sides of every game: the same loss, the residual negated
+    assert glm._log_loss(-eta, games, games - wins, rows).tobytes() == loss.tobytes()
+    swapped = glm._residual(-eta, games, games - wins)
+    assert np.array_equal(swapped[0], -residual)  # a zero residual keeps its +0.0
+    assert swapped[1].tobytes() == variance.tobytes()
+
 
 def test_log_likelihood_null_vector():
     _, d = simple_league(20, n=123)
@@ -155,7 +191,7 @@ def test_fit_irls_matches_the_dense_newton_oracle():
 def test_fit_irls_raises_when_conjugate_gradients_fail(monkeypatch):
     d = pinned_small_league(3001)
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=3))
-    monkeypatch.setattr(glm, "_cg", lambda matrix, diagonal, rhs, stack: (
+    monkeypatch.setattr(glm, "_cg", lambda matrix, diagonal, rhs, stack, tolerance: (
         0 * rhs, np.zeros(stack.sizes.size, bool)))
     with pytest.raises(mb.FitError, match="did not solve the Newton system") as raised:
         mb.fit_irls(data)

@@ -325,6 +325,9 @@ def test_files_load_as_the_oracle_reads_their_lines(end, chunk, tmp_path, monkey
     rows = [HEADER, *GOOD, ROWS[-2], ROWS[-1], *GOOD, "1,A,Terran,B,random,M,2011-01-01,5"]
     for tail in ([], [FAULTS[0][0], *GOOD]):
         path = write_lines(tmp_path / "games.csv", rows + tail, end)
+        if chunk == 3:  # a first block of plain lines; CR-only ends go to csv.reader
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                assert (data._plain_cells(next(data._blocks(fh))) is None) == (end == "\r")
         got = outcome(cli._load_dataset, path)
         with open(path, encoding="utf-8-sig", newline="") as fh:
             expected = outcome(lambda fh: mb.filter_valid(parse_matches_rowwise(fh)), fh)
@@ -355,10 +358,11 @@ def test_a_generated_league_is_split_without_csv_reader(monkeypatch):
     def reader(*args, **kwargs):
         raise AssertionError("csv.reader read a plain block")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(data.csv, "reader", reader)
-        from_text = mb.parse_matches(text)
-        from_stream = mb.parse_matches(io.StringIO(text, newline=""))
-    expected = parse_matches_rowwise(text)
-    assert_same_dataset(from_text, expected)
-    assert_same_dataset(from_stream, expected)
+    for text in (text, text.replace("\n", "\r\n")):  # LF and CRLF line ends
+        with monkeypatch.context() as patch:
+            patch.setattr(data.csv, "reader", reader)
+            from_text = mb.parse_matches(text)
+            from_stream = mb.parse_matches(io.StringIO(text, newline=""))
+        expected = parse_matches_rowwise(text)
+        assert_same_dataset(from_text, expected)
+        assert_same_dataset(from_stream, expected)

@@ -102,6 +102,10 @@ def test_win_probability_is_predict_details_probability():
         detail = mb.predict_detail(fit, *query)
         assert type(p) is type(detail["probability"]) and p == detail["probability"]
         assert p == mb.sigmoid(sum(detail["contributions"].values()))
+    # what the fit's lookup does not hold: a same-race game on a map the fit
+    # does not know, answered as predict_detail answers it
+    query = (players[0], players[1], "Zerg", "Zerg", "nowhere")
+    assert mb.win_probability(fit, *query) == mb.predict_detail(fit, *query)["probability"]
 
 
 def test_common_shift_invariance():
@@ -119,8 +123,11 @@ def test_common_shift_invariance():
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_predict_errors():
+@pytest.mark.parametrize("answered_first", [False, True])
+def test_predict_errors(answered_first):
     fit = injected_fit()
+    if answered_first:  # the fit's lookup is built, and the errors stay
+        mb.win_probability(fit, "a", "b", "Terran", "Zerg", "Xel'Naga Caverns")
     with pytest.raises(ValueError, match="unknown map"):
         mb.win_probability(fit, "a", "b", "Terran", "Zerg", "nowhere")
     with pytest.raises(ValueError, match="player1 and player2"):

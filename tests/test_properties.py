@@ -28,7 +28,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+import scipy.sparse
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import matchbalance as mb
@@ -280,20 +281,53 @@ def test_columnar_dataset_matches_the_record_oracles(raw, draw):
                 == in_order(vars(describe_records(expected))))
 
 
-@encoder_settings
-@given(st.lists(records(), min_size=1, max_size=60).map(Dataset.from_records),
-       st.integers(1, 20), st.booleans())
-def test_structural_nullity_equals_the_dense_rank_deficiency(d, m, identifiable):
+def nullity_input(d, m, identifiable):
+    """The design of ``d`` (anchoring by ``m``) read per game, restricted to
+    the columns that hold data, its player column count and the fit."""
     data = mb.build_design(d, mb.build_parameter_index(d, m, ensure_identifiable=identifiable))
     X = per_game(data)
     active = np.flatnonzero(np.bincount(X.indices, minlength=data.p) > 0)
     X = X[:, active]
-    players = int(np.searchsorted(active, len(data.index.player_columns)))
+    return X, int(np.searchsorted(active, len(data.index.player_columns))), data
+
+
+nullity_designs = st.tuples(
+    st.lists(records(), min_size=1, max_size=60).map(Dataset.from_records),
+    st.integers(1, 20), st.booleans())
+
+
+# b met anchored a once, on the only TvP game; b and c met twice, TvT: a
+# stack's ground must be each block's own for the root's tree game to count
+GROUNDED_ROOT = (Dataset.from_records([
+    MatchRecord(1, "b", "Terran", "a", "Protoss", "M", dt.date(2011, 1, 1), 600),
+    MatchRecord(1, "b", "Terran", "c", "Terran", "M", dt.date(2011, 1, 2), 600),
+    MatchRecord(0, "b", "Terran", "c", "Terran", "M", dt.date(2011, 1, 3), 600)]), 2, True)
+
+
+@encoder_settings
+@given(nullity_designs, st.lists(nullity_designs, max_size=3), st.integers(0, 3))
+@example(GROUNDED_ROOT, [GROUNDED_ROOT], 1)
+def test_structural_nullity_equals_the_dense_rank_deficiency(design, others, at):
+    # ``design`` alone, then placed at ``at`` in a block-diagonal stack of ``others``
+    X, players, data = nullity_input(*design)
     dense = X.toarray()
     expected = X.shape[1] - (np.linalg.matrix_rank(dense) if dense.size else 0)
-    assert _nullity(X, X.T.tocsr(), players, (X.T @ X).tocsr()) == expected
+    alone = _nullity(X, (X.T @ X).tocsr(), np.array([X.shape[1]]), np.array([players]))
+    assert alone.tolist() == [expected]
     fit = mb.fit_irls(data)
     assert fit.stabilized == (expected > 0) == dense_newton_fit(data)[4]
+
+    blocks = [nullity_input(*other)[:2] for other in others]
+    blocks.insert(min(at, len(blocks)), (X, players))
+    stack = scipy.sparse.block_diag([b for b, _ in blocks], format="csr")
+    nullity = _nullity(stack, (stack.T @ stack).tocsr(),
+                       np.array([b.shape[1] for b, _ in blocks]),
+                       np.array([n for _, n in blocks]))
+    for (b, n), stacked in zip(blocks, nullity.tolist()):
+        dense = b.toarray()
+        assert stacked == b.shape[1] - (np.linalg.matrix_rank(dense) if dense.size else 0)
+        assert stacked == _nullity(b, (b.T @ b).tocsr(), np.array([b.shape[1]]),
+                                   np.array([n])).tolist()[0]
 
 
 @st.composite
@@ -436,8 +470,8 @@ def planted_cg(fails, at_solve):
     cg = glm._cg
     solves = [0]
 
-    def planted(matrix, diagonal, rhs, stack):
-        x, solved = cg(matrix, diagonal, rhs, stack)
+    def planted(matrix, diagonal, rhs, stack, tolerance):
+        x, solved = cg(matrix, diagonal, rhs, stack, tolerance)
         for j, block in enumerate(stack.blocks):
             if block.data is fails:
                 solves[0] += 1
