@@ -109,7 +109,6 @@ def _fit_options(args, l1: float = 0.0) -> FitOptions:
     return FitOptions(
         max_iterations=args.max_iter,
         tolerance=args.tol,
-        eta_cap=args.eta_cap,
         l1_lambda=l1,
     )
 
@@ -126,7 +125,6 @@ def _add_fit_flags(p) -> None:
                    help="anchor players with fewer games than this (default 6)")
     p.add_argument("--max-iter", type=_at_least(1), default=100)
     p.add_argument("--tol", type=_fit_option("tolerance"), default=1e-8)
-    p.add_argument("--eta-cap", type=_fit_option("eta_cap"), default=30.0)
 
 
 def _add_input(p) -> None:
@@ -401,7 +399,7 @@ def build_parser() -> _Parser:
     _add_input(p)
     _add_fit_flags(p)
     p.add_argument("--folds", type=_at_least(2), default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_cv)
 
@@ -411,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l1", type=_fit_option("l1_lambda"),
                    help="penalty; omit to select by CV")
     p.add_argument("--folds", type=_at_least(2), default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--grid-size", type=_at_least(1), default=50)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_lasso)
@@ -421,7 +419,7 @@ def build_parser() -> _Parser:
     _add_input(p)
     _add_fit_flags(p)
     p.add_argument("-B", type=_at_least(1), default=1000, help="number of draws")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="cap on worker processes for draws, forked where the "
                         "platform allows; never changes the results")
@@ -441,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--players", type=_at_least(2), required=True)
     p.add_argument("--maps", type=_at_least(1), default=3)
     p.add_argument("--games", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--skill-sd", type=_at_least(0, float), default=1.0)
     p.add_argument("--matchup-sd", type=_at_least(0, float), default=1.0)
     p.add_argument("--schedule", choices=["uniform", "tournament_tail"],

@@ -151,13 +151,13 @@ def k_fold_cv(
     def trained(data, fit):  # what the test rows need, and no design
         if isinstance(fit, FitError):
             raise fit
-        return data.index, fit.coefficients, _accuracy(fit.coefficients, data, opts.eta_cap)
+        return data.index, fit.coefficients, _accuracy(fit.coefficients, data)
 
     per_fold: list[tuple[float, float]] = []
     for (_, test_rows), (idx, beta, train_acc) in zip(folds,
                                                      _fit_stacks(designs, opts, trained)):
         test = _encode(d._take(test_rows), idx)
-        per_fold.append((train_acc, _accuracy(beta, test, opts.eta_cap)))
+        per_fold.append((train_acc, _accuracy(beta, test)))
 
     train_acc = np.array([a for a, _ in per_fold])
     test_acc = np.array([b for _, b in per_fold])

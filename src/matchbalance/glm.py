@@ -29,9 +29,13 @@ This ridge is relative to the Jacobi diagonal, so it stays small beside
 weights capped near zero.  It picks the unidentified directions, and
 the fit's ``stabilized`` flag reports exactly this rank deficiency.
 
-Linear predictors are capped at ``eta_cap`` when computing weights and
-fitted probabilities, which keeps the weighted normal equations finite
-under quasi-separation (undefeated players are common in this data).
+Linear predictors are clipped to +-``_ETA_CAP`` (30) when computing
+weights and fitted probabilities, which keeps the weighted normal
+equations finite under quasi-separation (undefeated players are common
+in this data).  The cap is a fixed constant, not an option.  It still
+binds where a player won or lost every game, or a matchup cell's games
+all went one way: those estimates have no finite maximum, and the cap
+can go once the fit detects them and leaves them out.
 
 The loop fits a stack of designs at once (``_fit_stacks``; bootstrap
 draws and cross-validation folds are fitted so, and a single fit is a
@@ -65,6 +69,7 @@ MAX_STEP_HALVINGS = 30
 _SOLVE_TOLERANCE = 1e-10  # prox: the largest move at which it stops
 _SOLVE_STEPS_PER_COLUMN = 10
 _STACK_ROWS = 1 << 13  # distinct rows at which a stack of fits closes
+_ETA_CAP = 30.0  # |eta| bound on the weights and fitted probabilities
 
 
 def sigmoid(eta):
@@ -134,11 +139,15 @@ def _residual(eta: np.ndarray, games: np.ndarray, wins: np.ndarray):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Convergence and stabilization knobs for the fitters."""
+    """Convergence knobs and the L1 penalty for the fitters.
+
+    The cap on |eta| is not among them: it is ``_ETA_CAP``, a fixed
+    constant, which stays only while separated players and matchup
+    cells are fitted (see the module docstring).
+    """
 
     max_iterations: int = 100
     tolerance: float = 1e-8
-    eta_cap: float = 30.0
     l1_lambda: float = 0.0
 
     def __post_init__(self) -> None:
@@ -146,8 +155,6 @@ class FitOptions:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if not 0 < self.eta_cap < math.inf:
-            raise ValueError(f"eta_cap must be finite and > 0, got {self.eta_cap}")
         if not 0 <= self.l1_lambda < math.inf:
             raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
 
@@ -165,16 +172,19 @@ class FitResult:
     """
 
     coefficients: np.ndarray
-    log_likelihood: float
     deviance: float
     iterations: int
     converged: bool
     l1_lambda: float
     index: ParameterIndex
     stabilized: bool = False
-    eta_cap: float = 30.0
     no_data_columns: tuple[int, ...] = ()
     deviance_path: tuple[float, ...] = ()
+
+    @property
+    def log_likelihood(self) -> float:
+        """Bernoulli log-likelihood at the coefficients: -deviance / 2."""
+        return -self.deviance / 2.0
 
     @property
     def p_effective(self) -> int:
@@ -207,9 +217,8 @@ class FitResult:
         return players, terms
 
     def fitted_probabilities(self, data: EncodedDataset) -> np.ndarray:
-        """Per-game win probabilities, in game order, with the fitting-time cap applied."""
-        eta = np.clip(data.linear_predictor(self.coefficients),
-                      -self.eta_cap, self.eta_cap)
+        """Per-game win probabilities, in game order, |eta| capped as in the fit."""
+        eta = np.clip(data.linear_predictor(self.coefficients), -_ETA_CAP, _ETA_CAP)
         return sigmoid(eta)
 
 
@@ -418,8 +427,7 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
     stabilized = [False] * len(designs)
 
     for iterations in range(1, opts.max_iterations + 1):
-        residual, variance = _residual(np.clip(eta, -opts.eta_cap, opts.eta_cap),
-                                       s.games, s.wins)
+        residual, variance = _residual(np.clip(eta, -_ETA_CAP, _ETA_CAP), s.games, s.wins)
         np.multiply(s.X.data, np.repeat(s.games * variance, s.row_nnz),
                     out=s.weighted.data)
         g = s.Xt @ residual
@@ -480,14 +488,12 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
             b = s.blocks[j]
             result = FitResult(
                 coefficients=beta[s.columns[j]:s.columns[j] + s.p[j]].copy(),
-                log_likelihood=-deviance[j] / 2.0,
                 deviance=deviance[j],
                 iterations=iterations,
                 converged=converged[j],
                 l1_lambda=lam,
                 index=b.data.index,
                 stabilized=stabilized[j],
-                eta_cap=opts.eta_cap,
                 no_data_columns=b.no_data,
                 deviance_path=tuple(paths[at[j]]),
             )
@@ -628,13 +634,13 @@ def default_lambda_grid(data: EncodedDataset, num: int = 50,
     return np.geomspace(top, top * ratio, num)
 
 
-def _accuracy(beta: np.ndarray, data: EncodedDataset, eta_cap: float) -> float:
+def _accuracy(beta: np.ndarray, data: EncodedDataset) -> float:
     """Fraction of games predicted correctly at the 0.5 threshold.
 
-    Ties (probability exactly 0.5) predict that player1 wins.
+    Ties (probability exactly 0.5, which |eta| < 1e-16 rounds to)
+    predict that player1 wins.
     """
-    pi = sigmoid(np.clip(data.linear_predictor(beta), -eta_cap, eta_cap))
-    predicted = (pi >= 0.5).astype(np.int8)
+    predicted = (sigmoid(data.linear_predictor(beta)) >= 0.5).astype(np.int8)
     return float(np.mean(predicted == data.response))
 
 
@@ -678,7 +684,7 @@ def select_lambda_cv(
             fit = fit_lasso(train, replace(opts, l1_lambda=float(lam)),
                             warm_start=warm)
             warm = fit.coefficients
-            acc[li, fi] = _accuracy(fit.coefficients, test, opts.eta_cap)
+            acc[li, fi] = _accuracy(fit.coefficients, test)
     mean_acc = acc.mean(axis=1)
     return float(grid[int(np.argmax(mean_acc))])
 
@@ -726,7 +732,6 @@ def fit_to_obj(fit: FitResult) -> dict:
             "converged": fit.converged,
             "stabilized": fit.stabilized,
             "l1_lambda": fit.l1_lambda,
-            "eta_cap": fit.eta_cap,
             "p": idx.p,
             "p_effective": fit.p_effective,
         },
@@ -740,7 +745,7 @@ _FIT_SHAPE = {  # what fit_from_obj reads, in the order it checks it
                   "observed": bool}],
     "fit": {"log_likelihood": _NUMBER, "deviance": _NUMBER, "iterations": int,
             "converged": bool, "stabilized": bool, "l1_lambda": _NUMBER,
-            "eta_cap": _NUMBER, "p": int, "p_effective": int},
+            "p": int, "p_effective": int},
     "anchored_players": [str],
     "components": [[str]],
 }
@@ -749,8 +754,11 @@ _FIT_SHAPE = {  # what fit_from_obj reads, in the order it checks it
 def fit_from_obj(obj) -> FitResult:
     """Rebuild the fit ``fit_to_obj`` represented, index included.
 
-    Raises ValueError naming the first missing or mistyped key, or
-    saying that the players and matchups are not in column layout.
+    Raises ValueError naming the first missing or mistyped key, saying
+    that the players and matchups are not in column layout or that a
+    player is both fitted and anchored, or naming a key whose value the
+    rest of the artifact contradicts.  Keys it does not read are
+    ignored, so artifacts that still hold a key no longer written load.
     """
     _check_shape(obj, _FIT_SHAPE)
     players, matchups, meta = obj["players"], obj["matchups"], obj["fit"]
@@ -759,20 +767,23 @@ def fit_from_obj(obj) -> FitResult:
     layout = [(e["map"], (e["race1"], e["race2"])) for e in matchups]
     if len(idx.player_columns) != len(players) or layout != list(idx.matchup_columns):
         raise ValueError("players and matchups are not in column layout")
+    both = idx.anchored_players & idx.player_columns.keys()
+    if both:
+        raise ValueError(f"player {min(both)!r} is both fitted and anchored")
     fit = FitResult(
         coefficients=np.array([e["estimate"] for e in players + matchups], float),
-        log_likelihood=meta["log_likelihood"],
         deviance=meta["deviance"],
         iterations=meta["iterations"],
         converged=meta["converged"],
         l1_lambda=meta["l1_lambda"],
         index=idx,
         stabilized=meta["stabilized"],
-        eta_cap=meta["eta_cap"],
         no_data_columns=tuple(len(players) + i for i, e in enumerate(matchups)
                               if not e["observed"]),
     )
-    for key, value in (("p", idx.p), ("p_effective", fit.p_effective)):
+    for key, value, source in (("p", idx.p, "the columns give"),
+                               ("p_effective", fit.p_effective, "the columns give"),
+                               ("log_likelihood", fit.log_likelihood, "-deviance / 2 is")):
         if meta[key] != value:
-            raise ValueError(f"key {key!r} is {meta[key]}, but the columns give {value}")
+            raise ValueError(f"key {key!r} is {meta[key]}, but {source} {value}")
     return fit

@@ -3,7 +3,7 @@
 The standard library's encoder writes the JSON, indented, keys in the
 order given.  Floats are written as their shortest round-trip text
 (``repr``), so artifacts load back to the same floats, an integral
-float stays a float (``30.0``), and identical runs produce
+float stays a float (``0.0``), and identical runs produce
 byte-identical files.  Non-finite floats are rejected.
 """
 

@@ -8,7 +8,8 @@ fit, adaptive quadrature
 instead of incomplete-gamma evaluation, central differences instead of
 the analytic score, direct per-row probability products instead of
 the vectorized likelihood, per-record scalar lookups instead of the
-sparse design for cross-validated prediction, a record-by-record
+sparse design for cross-validated prediction, a clipped linear
+predictor instead of the unclipped one for accuracy, a record-by-record
 index and encoder (counters, union-find, dict lookups) instead of the
 coded, vectorized ones, and a row-by-row CSV parser that keeps each row
 as a tuple and codes whole columns against sorted tables, instead of
@@ -38,8 +39,8 @@ from matchbalance.design import (
     build_parameter_index,
     canonical_orientation,
 )
-from matchbalance.glm import (LAST_RESORT_RIDGE, MAX_STEP_HALVINGS, FitOptions, fit_irls,
-                             log_likelihood, score, sigmoid)
+from matchbalance.glm import (_ETA_CAP, LAST_RESORT_RIDGE, MAX_STEP_HALVINGS, FitOptions,
+                             fit_irls, log_likelihood, score, sigmoid)
 from matchbalance.simulate import LeagueTruth, true_eta
 
 
@@ -99,7 +100,7 @@ def dense_newton_fit(data, opts=FitOptions()):
     stabilized = converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        eta = np.clip(data.linear_predictor(beta), -opts.eta_cap, opts.eta_cap)
+        eta = np.clip(data.linear_predictor(beta), -_ETA_CAP, _ETA_CAP)
         pi = sigmoid(eta)
         hessian = (X.T @ X.multiply((pi * (1.0 - pi))[:, None])).toarray()
         try:
@@ -155,7 +156,7 @@ def coordinate_descent_lasso(data, opts, warm_start=None):
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         eta = data.linear_predictor(beta)
-        eta_c = np.clip(eta, -opts.eta_cap, opts.eta_cap)
+        eta_c = np.clip(eta, -_ETA_CAP, _ETA_CAP)
         pi = sigmoid(eta_c)
         w = pi * (1.0 - pi)
         resid = (y - pi) / w + (eta_c - eta)
@@ -237,6 +238,14 @@ def residual_expit(eta, games, wins):
     calls, with 1 - pi taken as expit(-eta)."""
     pi, miss = scipy.special.expit(eta), scipy.special.expit(-eta)
     return wins * miss - (games - wins) * pi, pi * miss
+
+
+def accuracy_clipped(beta, data):
+    """Held-out accuracy (``glm._accuracy``) as it was computed when the
+    cap on |eta| was a fit option: each game's sigmoid of eta clipped to
+    +-``_ETA_CAP``, predicted at the 0.5 threshold, ties to player1."""
+    pi = sigmoid(np.clip(data.linear_predictor(beta), -_ETA_CAP, _ETA_CAP))
+    return float(np.mean((pi >= 0.5).astype(np.int8) == data.response))
 
 
 def predict_record(fit, record):

@@ -37,6 +37,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert run("fit") == 1  # missing required --out/--input
     err = capsys.readouterr().err
     assert "usage" in err
+    # the cap on |eta| is fixed, not a flag
+    assert run("fit", "--input", "games.csv", "--out", tmp_path / "fit.json",
+               "--eta-cap", 30) == 1
+    assert "unrecognized arguments: --eta-cap 30" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -53,10 +58,12 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     (("fit", "--tol", 0), "--tol"),
     (("fit", "--tol", "nan"), "--tol"),
     (("fit", "--tol", "inf"), "--tol"),
-    (("fit", "--eta-cap", -1), "--eta-cap"),
-    (("fit", "--eta-cap", "inf"), "--eta-cap"),
     (("lasso", "--l1", -0.5), "--l1"),
     (("lasso", "--l1", "nan"), "--l1"),
+    (("cv", "--seed", -1), "--seed"),
+    (("lasso", "--seed", -1), "--seed"),
+    (("bootstrap", "balance", "--seed", -1), "--seed"),
+    (("simulate", "--players", 5, "--games", 10, "--seed", -1), "--seed"),
     (("simulate", "--players", 1, "--games", 10), "--players"),
     (("simulate", "--players", 5, "--maps", 0, "--games", 10), "--maps"),
     (("simulate", "--players", 5, "--games", 0), "--games"),
@@ -130,6 +137,46 @@ def test_data_errors_exit_2(tmp_path, capsys, league_csv):
         assert run(command, "--input", tiny, "--folds", 10,
                    "--out", tmp_path / "x.json") == 2
         assert "need at least 10 records" in capsys.readouterr().err
+
+
+def test_fit_artifact_contradictions_exit_2(league_csv, tmp_path, capsys):
+    assert run("fit", "--input", league_csv, "--out", tmp_path / "fit.json") == 0
+    good = load_json(tmp_path / "fit.json")
+    fitted, anchored = good["players"][0]["player"], good["anchored_players"]
+    assert anchored
+    # an artifact from before the cap on |eta| was fixed carries it as a key
+    older = json.loads(json.dumps(good))
+    older["fit"]["eta_cap"] = 30.0
+    back, fit = fit_from_obj(older), fit_from_obj(good)
+    assert back.coefficients.tobytes() == fit.coefficients.tobytes()
+    assert (back.log_likelihood, back.deviance) == (fit.log_likelihood, fit.deviance)
+
+    def changed(change):
+        obj = json.loads(json.dumps(good))
+        change(obj)
+        return obj
+
+    swapped = good["matchups"][:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    bad_fits = [
+        (changed(lambda o: o["fit"].update(p=o["fit"]["p"] + 1)),
+         "key 'p' is .*, but the columns give"),
+        (changed(lambda o: o["fit"].update(p_effective=o["fit"]["p_effective"] - 1)),
+         "key 'p_effective' is .*, but the columns give"),
+        (changed(lambda o: o.update(matchups=swapped)), "not in column layout"),
+        (changed(lambda o: o["anchored_players"].append(fitted)),
+         f"player '{fitted}' is both fitted and anchored"),
+        (changed(lambda o: o["fit"].update(log_likelihood=o["fit"]["log_likelihood"] - 1)),
+         "key 'log_likelihood' is .*, but -deviance / 2 is"),
+    ]
+    path = tmp_path / "bad.json"
+    for obj, message in bad_fits:
+        with pytest.raises(ValueError, match=message):
+            fit_from_obj(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run("rank", "--fit", path, "--out", tmp_path / "rank.json") == 2
+        assert f"error: {path}: not a fit artifact" in capsys.readouterr().err
+    assert not (tmp_path / "rank.json").exists()
 
 
 @pytest.mark.parametrize("module", ["matchbalance", "matchbalance.cli"])

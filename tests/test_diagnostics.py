@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import matchbalance as mb
+from matchbalance import glm
 from matchbalance.data import Dataset, MatchRecord
 from matchbalance.glm import FitOptions
 from helpers import simple_league
@@ -119,7 +120,7 @@ def test_hl_rejects_fewer_than_three_groups():
             mb.hosmer_lemeshow(fit, data, groups=groups)
 
 
-def test_hl_requires_enough_rows_and_flags_degenerate_bins():
+def test_hl_requires_enough_rows_and_flags_degenerate_bins(monkeypatch):
     data, fit = coin_flip_rows(8)
     with pytest.raises(ValueError, match="at least 10"):
         mb.hosmer_lemeshow(fit, data, groups=10)
@@ -127,7 +128,9 @@ def test_hl_requires_enough_rows_and_flags_degenerate_bins():
     _, d = simple_league(64, n=100)
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=4))
     fit = mb.fit_irls(data)
-    pinned = replace(fit, coefficients=fit.coefficients * 1e4, eta_cap=1e9)
+    # a cap far above every |eta| lets the fitted probabilities reach 0 and 1
+    monkeypatch.setattr(glm, "_ETA_CAP", 1e9)
+    pinned = replace(fit, coefficients=fit.coefficients * 1e4)
     with pytest.raises(ValueError, match="degenerate"):
         mb.hosmer_lemeshow(pinned, data)
 
@@ -191,11 +194,12 @@ def test_residual_values():
     assert pairs[0][1] == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_residuals_error_on_saturated_probability():
+def test_residuals_error_on_saturated_probability(monkeypatch):
     _, d = simple_league(67, n=60)
     data = mb.build_design(d, mb.build_parameter_index(d, min_games=4))
     fit = mb.fit_irls(data)
-    pinned = replace(fit, coefficients=fit.coefficients * 1e4, eta_cap=1e9)
+    monkeypatch.setattr(glm, "_ETA_CAP", 1e9)
+    pinned = replace(fit, coefficients=fit.coefficients * 1e4)
     with pytest.raises(ValueError, match="residual undefined"):
         mb.residuals_vs_fitted(pinned, data)
 

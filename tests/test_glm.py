@@ -268,12 +268,10 @@ def test_fit_options_validation():
     with pytest.raises(ValueError):
         FitOptions(tolerance=0.0)
     with pytest.raises(ValueError):
-        FitOptions(eta_cap=-1.0)
-    with pytest.raises(ValueError):
         FitOptions(l1_lambda=-0.1)
 
 
-@pytest.mark.parametrize("field", ["tolerance", "eta_cap", "l1_lambda"])
+@pytest.mark.parametrize("field", ["tolerance", "l1_lambda"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_fit_options_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):

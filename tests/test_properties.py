@@ -11,9 +11,11 @@ give the per-row X'WX, score and deviance.  The fit keeps swap symmetry
 of the fitted probabilities, does not change in any bit when the
 records are reordered, and entering every game twice doubles its
 deviance and nothing else.  A fit survives its JSON artifact bit for
-bit.  A design fitted in a stack with others, in any order, gives every
-bit of the fit it gives alone, also beside designs that are stabilized,
-run to the iteration limit or fail to solve.  Games picked from a
+bit.  Accuracy at the 0.5 threshold, its linear predictor unclipped, is
+bitwise the accuracy with |eta| clipped to the fit's cap.  A design
+fitted in a stack with others, in any order, gives every bit of the fit
+it gives alone, also beside designs that are stabilized, run to the
+iteration limit or fail to solve.  Games picked from a
 dataset as counts on its distinct coded rows, as bootstrap draws and CV
 training folds are, give every bit of the index, the distinct rows and
 the no-data columns of the same games taken row by row, and so does a
@@ -40,6 +42,7 @@ from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
 from helpers import pinned_small_league
 from matchbalance.jsonio import dumps
 from oracles import (
+    accuracy_clipped,
     dense_newton_fit,
     describe_records,
     encode_records,
@@ -423,9 +426,34 @@ def test_fit_survives_its_json_artifact(d, m, identifiable):
     assert back.coefficients.tobytes() == fit.coefficients.tobytes()
     assert (back.converged, back.stabilized, back.no_data_columns) == \
         (fit.converged, fit.stabilized, fit.no_data_columns)
-    floats = [obj["fit"][key] for key in ("log_likelihood", "deviance", "eta_cap", "l1_lambda")]
+    floats = [obj["fit"][key] for key in ("log_likelihood", "deviance", "l1_lambda")]
     floats += [e["estimate"] for e in obj["players"] + obj["matchups"]]
     assert all(type(x) is float for x in floats)
+
+
+# coefficients at the scales where the clip could matter: beyond the cap,
+# signed zeros, and below 1e-16, where the sigmoid rounds to 0.5 (a tie).
+# A zero eta is always +0.0: ``linear_predictor`` adds +0.0 to a -0.0.
+coefficient_scales = st.sampled_from([0.0, -0.0, 1e-17, 1.0, 10.0, 1e3])
+EQUAL_SKILL = Dataset.from_records([
+    MatchRecord(w, a, "Zerg", b, "Zerg", "M", dt.date(2011, 1, 1), 600)
+    for a, b in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")) for w in (0, 1)])
+
+
+@encoder_settings
+@given(datasets, min_games, st.lists(st.tuples(coefficient_scales, st.floats(-1.0, 1.0)),
+                                     min_size=1, max_size=30))
+@example(EQUAL_SKILL, 1, [(1e-17, -1.0), (0.0, 1.0), (-0.0, 1.0)])
+@example(EQUAL_SKILL, 1, [(1e3, 1.0), (1e3, -0.5), (10.0, 1.0)])
+def test_accuracy_without_the_clip_is_the_clipped_accuracy(d, m, scaled):
+    # the coefficients repeat to fill the columns
+    _, data = encode(d, m)
+    beta = np.resize([scale * unit for scale, unit in scaled], data.p)
+    eta = np.abs(data.linear_predictor(beta))
+    event(f"|eta| > cap: {bool((eta > glm._ETA_CAP).any())}")
+    event(f"0 < |eta| < 1e-16: {bool(((0 < eta) & (eta < 1e-16)).any())}")
+    event(f"eta == 0: {bool((eta == 0).any())}")
+    assert glm._accuracy(beta, data).hex() == accuracy_clipped(beta, data).hex()
 
 
 def _rec(winner, player1, race1, player2, race2, i=0, map_name="Antiga"):
