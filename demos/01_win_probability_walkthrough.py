@@ -29,7 +29,7 @@ fit = mb.fit_irls(mb.build_design(dataset, index))
 beta = fit.coefficients.copy()
 beta[index.player_columns["Greg Fields"]] = 2.098
 beta[index.player_columns["Jonathan Walsh"]] = 1.797
-beta[index.matchup_column("Xel'Naga Caverns", ("Terran", "Zerg"))] = -0.0632
+beta[index.matchup_columns["Xel'Naga Caverns", ("Terran", "Zerg")]] = -0.0632
 fit = replace(fit, coefficients=beta)
 
 detail = mb.predict_detail(fit, "Greg Fields", "Jonathan Walsh",

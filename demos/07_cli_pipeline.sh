@@ -2,8 +2,15 @@
 # End-to-end pipeline through the command line: simulate a league, fit,
 # run every diagnostic, bootstrap the balance statistic, and assemble
 # the report.  Everything is seeded, so re-running reproduces the same
-# bytes.
+# bytes.  It runs from a checkout: the CLI is the checkout's own, run as
+# `python3 -m matchbalance` with its src directory first on PYTHONPATH, so
+# no installed `matchbalance` script is needed.
 set -euo pipefail
+
+src=$(cd "$(dirname "$0")/../src" && pwd)
+matchbalance() {
+    PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" python3 -m matchbalance "$@"
+}
 
 out=$(mktemp -d)
 echo "writing artifacts to $out"

@@ -97,9 +97,7 @@ def aggregate_balance(fit: FitResult) -> BalanceStatistic:
     if not idx.maps:
         raise ValueError("fit has no maps to average over")
     per_pair = {
-        pair: float(
-            np.mean([fit.matchup_estimate(m, pair) for m in idx.maps])
-        )
+        pair: float(np.mean(fit.coefficients[[idx.matchup_columns[m, pair] for m in idx.maps]]))
         for pair in CANONICAL_PAIRS
     }
     return BalanceStatistic(per_pair=per_pair, m=len(idx.maps))

@@ -335,15 +335,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_rank(args) -> int:
     _, fit = _load_artifact(args.fit, "fit", fit_from_obj)
-    ranking = rank_players(fit)
-    anchored = fit.index.anchored_players
-    ranked = [(p, v) for p, v in ranking if p not in anchored]
+    ranked = rank_players(fit)[:len(fit.index.player_columns)]
     write_json(args.out, {
         "ranked": [
             {"rank": i + 1, "player": p, "estimate": v}
             for i, (p, v) in enumerate(ranked)
         ],
-        "anchored": sorted(anchored),
+        "anchored": sorted(fit.index.anchored_players),
     })
     print(f"wrote {args.out}")
     return 0

@@ -96,9 +96,6 @@ class ParameterIndex:
     p: int
     components: tuple[frozenset[str], ...]
 
-    def matchup_column(self, map_name: str, pair: tuple[str, str]) -> int:
-        return self.matchup_columns[(map_name, pair)]
-
     def knows_player(self, player: str) -> bool:
         return player in self.player_columns or player in self.anchored_players
 

@@ -180,14 +180,14 @@ def zero_overlap(threshold_anchored: set[str], lasso_fit: FitResult) -> float:
     """
     if not threshold_anchored:
         raise ValueError("threshold-anchored player set is empty")
+    players = lasso_fit._lookup[0]
     zeroed = 0
     for player in threshold_anchored:
-        col = lasso_fit.index.player_columns.get(player)
-        if col is None:
+        if player not in players:
             raise ValueError(
                 f"player {player!r} has no column in the L1 fit; "
                 "it must be fitted without anchoring"
             )
-        if lasso_fit.coefficients[col] == 0.0:
+        if players[player] == 0.0:
             zeroed += 1
     return zeroed / len(threshold_anchored)

@@ -159,10 +159,11 @@ class FitOptions:
             raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted coefficient vector plus fit metadata.
+    """Fitted coefficient vector plus fit metadata, immutable.
 
+    ``coefficients`` is a read-only float64 copy of the vector given.
     Anchored players own no column, so their coefficients are
     implicitly zero.  ``no_data_columns`` lists matchup columns that
     had no observations and were frozen at zero.  ``stabilized`` means
@@ -181,6 +182,11 @@ class FitResult:
     no_data_columns: tuple[int, ...] = ()
     deviance_path: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        coefficients = np.array(self.coefficients, dtype=np.float64)
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
+
     @property
     def log_likelihood(self) -> float:
         """Bernoulli log-likelihood at the coefficients: -deviance / 2."""
@@ -191,20 +197,13 @@ class FitResult:
         """Number of actively estimated columns."""
         return self.index.p - len(self.no_data_columns)
 
-    def player_estimate(self, player: str) -> float:
-        """Fitted skill; anchored and unknown players contribute 0."""
-        col = self.index.player_columns.get(player)
-        return float(self.coefficients[col]) if col is not None else 0.0
-
-    def matchup_estimate(self, map_name: str, pair: tuple[str, str]) -> float:
-        return float(self.coefficients[self.index.matchup_column(map_name, pair)])
-
     @cached_property
     def _lookup(self) -> tuple[dict[str, float], dict[tuple[str, str, str], float]]:
-        """Each fitted player's estimate, and each (map, race1, race2)'s signed
-        matchup term, 0.0 for a same-race pair, as Python floats: the terms
-        of ``predict.win_probability``, read from ``coefficients`` once, at
-        the first query."""
+        """Each fitted player's estimate, in column order, and each (map,
+        race1, race2)'s signed matchup term, 0.0 for a same-race pair, as
+        Python floats: the one place a fit is read by name, built from
+        ``coefficients`` at the first read.  Anchored and unknown players
+        have no entry."""
         beta = self.coefficients.tolist()
         players = {player: beta[col] for player, col in self.index.player_columns.items()}
         terms = {}
@@ -487,7 +486,7 @@ def _newton(designs: list[EncodedDataset], opts: FitOptions, starts: list[np.nda
                 continue
             b = s.blocks[j]
             result = FitResult(
-                coefficients=beta[s.columns[j]:s.columns[j] + s.p[j]].copy(),
+                coefficients=beta[s.columns[j]:s.columns[j] + s.p[j]],
                 deviance=deviance[j],
                 iterations=iterations,
                 converged=converged[j],
@@ -711,8 +710,8 @@ def fit_to_obj(fit: FitResult) -> dict:
     no_data = set(fit.no_data_columns)
     return {
         "players": [
-            {"player": player, "estimate": float(fit.coefficients[col])}
-            for player, col in idx.player_columns.items()
+            {"player": player, "estimate": estimate}
+            for player, estimate in fit._lookup[0].items()
         ],
         "anchored_players": sorted(idx.anchored_players),
         "matchups": [
@@ -771,7 +770,7 @@ def fit_from_obj(obj) -> FitResult:
     if both:
         raise ValueError(f"player {min(both)!r} is both fitted and anchored")
     fit = FitResult(
-        coefficients=np.array([e["estimate"] for e in players + matchups], float),
+        coefficients=[e["estimate"] for e in players + matchups],
         deviance=meta["deviance"],
         iterations=meta["iterations"],
         converged=meta["converged"],

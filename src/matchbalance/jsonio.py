@@ -4,7 +4,8 @@ The standard library's encoder writes the JSON, indented, keys in the
 order given.  Floats are written as their shortest round-trip text
 (``repr``), so artifacts load back to the same floats, an integral
 float stays a float (``0.0``), and identical runs produce
-byte-identical files.  Non-finite floats are rejected.
+byte-identical files.  Non-finite floats are rejected, both on writing
+and on loading.
 """
 
 from __future__ import annotations
@@ -32,7 +33,19 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse the JSON at ``path``, refusing a number that is not finite."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_float=_finite, parse_constant=_finite)
+
+
+def _finite(token: str) -> float:
+    """The float of a JSON number or constant token; ValueError naming one
+    that is not finite: NaN, Infinity, -Infinity, or a literal such as
+    1e999 that overflows a float."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token} is not finite")
+    return value
 
 
 def _check_shape(obj, shape, key: str | None = None) -> None:

@@ -8,7 +8,9 @@ fit, adaptive quadrature
 instead of incomplete-gamma evaluation, central differences instead of
 the analytic score, direct per-row probability products instead of
 the vectorized likelihood, per-record scalar lookups instead of the
-sparse design for cross-validated prediction, a clipped linear
+sparse design for cross-validated prediction, coefficients read at their
+index columns instead of the fit's name lookup for win-probability
+queries, a clipped linear
 predictor instead of the unclipped one for accuracy, a record-by-record
 index and encoder (counters, union-find, dict lookups) instead of the
 coded, vectorized ones, and a row-by-row CSV parser that keeps each row
@@ -254,11 +256,42 @@ def predict_record(fit, record):
     Players and maps the fit does not know contribute 0; ties predict
     that player1 wins.
     """
-    eta = fit.player_estimate(record.player1) - fit.player_estimate(record.player2)
+    eta = _skill(fit, record.player1) - _skill(fit, record.player2)
     pair, sign = canonical_orientation(record.race1, record.race2)
     if pair is not None and (record.map_name, pair) in fit.index.matchup_columns:
-        eta += sign * fit.matchup_estimate(record.map_name, pair)
+        eta += sign * float(fit.coefficients[fit.index.matchup_columns[record.map_name, pair]])
     return 1 if sigmoid(eta) >= 0.5 else 0
+
+
+def _skill(fit, player):
+    """A player's estimate, read at its column of the index; 0 for a player
+    without one (anchored or unknown)."""
+    col = fit.index.player_columns.get(player)
+    return 0.0 if col is None else float(fit.coefficients[col])
+
+
+def query_terms(fit, player1, player2, race1, race2, map_name):
+    """(eta, player1's term, player2's term, matchup term) of a
+    win-probability query, each read from ``coefficients`` at its column of
+    the index, or the ValueError ``predict_detail`` raises for a query it
+    cannot answer: one player on both sides, then an unrecognized race tag,
+    then a cross-race game on a map the fit does not know.  A same-race
+    game has matchup term 0.0 on any map."""
+    if player1 == player2:
+        raise ValueError(f"player1 and player2 are both {player1!r}")
+    for tag in (race1, race2):
+        if tag not in RACES:
+            raise ValueError(f"unrecognized race tag {tag!r}")
+    c1, c2, cm = _skill(fit, player1), -_skill(fit, player2), 0.0
+    if race1 != race2:
+        if (race1, race2) in CANONICAL_PAIRS:
+            pair, sign = (race1, race2), 1.0
+        else:
+            pair, sign = (race2, race1), -1.0
+        if (map_name, pair) not in fit.index.matchup_columns:
+            raise ValueError(f"unknown map {map_name!r}")
+        cm = sign * float(fit.coefficients[fit.index.matchup_columns[map_name, pair]])
+    return c1 + c2 + cm, c1, c2, cm
 
 
 def cv_accuracies(d, k, opts, min_games, seed):

@@ -65,7 +65,7 @@ def injected_star_fit():
     beta = fit.coefficients.copy()
     beta[idx.player_columns["Greg Fields"]] = 2.098
     beta[idx.player_columns["Jonathan Walsh"]] = 1.797
-    beta[idx.matchup_column("Xel'Naga Caverns", ("Terran", "Zerg"))] = -0.0632
+    beta[idx.matchup_columns["Xel'Naga Caverns", ("Terran", "Zerg")]] = -0.0632
     return replace(fit, coefficients=beta)
 
 

@@ -64,8 +64,8 @@ def test_aggregate_balance_arithmetic():
     fit = mb.fit_irls(mb.build_design(d, idx))
     beta = fit.coefficients.copy()
     maps = idx.maps
-    beta[idx.matchup_column(maps[0], ("Terran", "Protoss"))] = 0.2
-    beta[idx.matchup_column(maps[1], ("Terran", "Protoss"))] = 0.4
+    beta[idx.matchup_columns[maps[0], ("Terran", "Protoss")]] = 0.2
+    beta[idx.matchup_columns[maps[1], ("Terran", "Protoss")]] = 0.4
     stat = mb.aggregate_balance(replace(fit, coefficients=beta))
     assert stat.m == 2
     assert stat.per_pair[("Terran", "Protoss")] == pytest.approx(0.3)

@@ -179,6 +179,49 @@ def test_fit_artifact_contradictions_exit_2(league_csv, tmp_path, capsys):
     assert not (tmp_path / "rank.json").exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_artifact_numbers_exit_2(token, league_csv, tmp_path, capsys):
+    """A number JSON parsers read as NaN or an infinity is a data error
+    naming the file and the token, whichever key holds it."""
+    assert run("fit", "--input", league_csv, "--out", tmp_path / "fit.json") == 0
+    assert run("diagnose", "lrt", "--input", league_csv,
+               "--out", tmp_path / "lrt.json") == 0
+    good = load_json(tmp_path / "fit.json")
+
+    def planted(name, obj, *keys):
+        """A file ``name`` holding ``obj`` with ``token`` as the value at
+        each key path."""
+        obj = json.loads(json.dumps(obj))
+        for *parents, last in keys:
+            target = obj
+            for key in parents:
+                target = target[key]
+            target[last] = "@"
+        out = tmp_path / name
+        out.write_text(json.dumps(obj).replace('"@"', token), encoding="utf-8")
+        return out
+
+    player = good["players"][0]["player"]
+    readers = [("rank", "--out", tmp_path / "rank.json"),
+               ("report", "--out", tmp_path / "report.txt"),
+               ("predict", "--player1", player, "--race1", "Zerg", "--player2", "nobody",
+                "--race2", "Zerg", "--map", "map_00")]
+    fits = [planted("estimate.json", good, ("players", 0, "estimate")),
+            planted("deviance.json", good, ("fit", "deviance"), ("fit", "log_likelihood"))]
+    capsys.readouterr()
+    for path in fits:
+        for argv in readers:
+            assert run(*argv, "--fit", path) == 2
+            err = capsys.readouterr().err
+            assert f"error: {path}: not a fit artifact: number {token} is not finite" in err
+    lrt = planted("statistic.json", load_json(tmp_path / "lrt.json"), ("statistic",))
+    assert run("report", "--fit", tmp_path / "fit.json", "--lrt", lrt,
+               "--out", tmp_path / "report.txt") == 2
+    err = capsys.readouterr().err
+    assert f"error: {lrt}: not a lrt artifact: number {token} is not finite" in err
+    assert not (tmp_path / "rank.json").exists() and not (tmp_path / "report.txt").exists()
+
+
 @pytest.mark.parametrize("module", ["matchbalance", "matchbalance.cli"])
 def test_module_entry_points_run_the_cli(module, tmp_path):
     src = Path(mb.__file__).parents[1]

@@ -88,7 +88,7 @@ def test_encode_row_placement_and_signs():
     r = record("A", "Zerg", "B", "Terran", map_name="XN")
     row = encode_row(r, idx)
     # (Zerg, Terran) is stored under its (Terran, Zerg) orientation with sign -1
-    tz_col = idx.matchup_column("XN", ("Terran", "Zerg"))
+    tz_col = idx.matchup_columns["XN", ("Terran", "Zerg")]
     assert row[tz_col] == -1
     expected_players = {}
     if "A" not in idx.anchored_players:

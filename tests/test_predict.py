@@ -1,5 +1,5 @@
 import datetime as dt
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
 from helpers import simple_league
+from oracles import query_terms
 
 
 def injected_fit():
@@ -28,7 +29,7 @@ def injected_fit():
     beta[idx.player_columns["Jonathan Walsh"]] = 1.797
     # the map favors Zerg over Terran by 0.0632, stored under the
     # canonical (Terran, Zerg) orientation as its negation
-    beta[idx.matchup_column("Xel'Naga Caverns", ("Terran", "Zerg"))] = -0.0632
+    beta[idx.matchup_columns["Xel'Naga Caverns", ("Terran", "Zerg")]] = -0.0632
     return replace(fit, coefficients=beta)
 
 
@@ -88,24 +89,87 @@ def test_complement_identity_many_pairings():
         assert abs(a + b - 1.0) < 1e-12
 
 
-def test_win_probability_is_predict_details_probability():
-    _, d = simple_league(44, n=500)
-    idx = mb.build_parameter_index(d, min_games=6)
-    fit = mb.fit_irls(mb.build_design(d, idx))
-    rng = np.random.default_rng(3)
-    players = sorted(d.players) + ["somebody_new"]
-    for _ in range(300):
-        p1, p2 = rng.choice(len(players), size=2, replace=False)
-        query = (players[p1], players[p2], *rng.choice(mb.RACES, size=2).tolist(),
-                 idx.maps[int(rng.integers(len(idx.maps)))])
+def _answers(query, *fits):
+    """Check that ``win_probability`` and ``predict_detail`` answer a query
+    on each fit bitwise as ``query_terms`` does, or raise its ValueError
+    message."""
+    for fit in fits:
+        try:
+            expected = query_terms(fit, *query)
+        except ValueError as exc:
+            for answer in (mb.win_probability, mb.predict_detail):
+                with pytest.raises(ValueError) as raised:
+                    answer(fit, *query)
+                assert str(raised.value) == str(exc), query
+            continue
+        eta, c1, c2, cm = expected
         p = mb.win_probability(fit, *query)
         detail = mb.predict_detail(fit, *query)
-        assert type(p) is type(detail["probability"]) and p == detail["probability"]
-        assert p == mb.sigmoid(sum(detail["contributions"].values()))
-    # what the fit's lookup does not hold: a same-race game on a map the fit
-    # does not know, answered as predict_detail answers it
-    query = (players[0], players[1], "Zerg", "Zerg", "nowhere")
-    assert mb.win_probability(fit, *query) == mb.predict_detail(fit, *query)["probability"]
+        got = (detail["eta"], *detail["contributions"].values())
+        assert [v.hex() for v in got] == [v.hex() for v in expected], query
+        assert list(detail["contributions"]) == ["player1", "player2", "matchup"]
+        for probability in (p, detail["probability"]):
+            assert type(probability) is float
+            assert probability.hex() == mb.sigmoid(eta).hex(), query
+
+
+def test_win_probability_is_predict_details_probability():
+    """Both answer every query bitwise as the oracle reads the coefficients
+    through the index: fitted, anchored and unknown players, every race
+    pairing on known maps and on one the fit does not know, and each error."""
+    _, d = simple_league(44, n=500)
+    idx = mb.build_parameter_index(d, min_games=6)
+    assert idx.anchored_players
+    fit = mb.fit_irls(mb.build_design(d, idx))
+    rng = np.random.default_rng(3)
+    players = sorted(d.players) + ["somebody_new", "someone_else"]
+    maps = list(idx.maps) + ["nowhere"]
+    races = list(mb.RACES) + ["random"]
+    errors = [("a", "a", "Terran", "Zerg", maps[0]),    # same player
+              ("a", "a", "random", "Zerg", "nowhere"),  # ... before the race tag
+              ("a", "b", "Terran", "random", maps[0]),  # race tag
+              ("a", "b", "random", "Zerg", "nowhere"),  # ... before the map
+              ("a", "b", "Zerg", "Terran", "nowhere")]  # unknown map
+    queries = [(players[i], players[j], races[r1], races[r2], maps[m])
+               for i, j, r1, r2, m in zip(rng.integers(len(players), size=600),
+                                          rng.integers(len(players), size=600),
+                                          rng.integers(len(races), size=600),
+                                          rng.integers(len(races), size=600),
+                                          rng.integers(len(maps), size=600))]
+    anchored, fitted = sorted(idx.anchored_players)[0], sorted(idx.player_columns)[0]
+    queries += [(p1, p2, r1, r2, m)
+                for p1, p2 in ((anchored, fitted), (fitted, anchored),
+                               (anchored, "somebody_new"), ("somebody_new", fitted))
+                for r1 in mb.RACES for r2 in mb.RACES for m in maps]
+    for query in errors + queries:
+        _answers(query, fit)
+    # a same-race game on a map the fit does not know has no matchup term
+    same_race = mb.predict_detail(fit, fitted, anchored, "Zerg", "Zerg", "nowhere")
+    assert same_race["contributions"]["matchup"] == 0.0
+
+
+def test_fit_record_is_immutable():
+    fit = injected_fit()
+    with pytest.raises(FrozenInstanceError):
+        fit.deviance = 0.0
+    with pytest.raises(FrozenInstanceError):
+        fit.coefficients = np.zeros(fit.index.p)
+    with pytest.raises(ValueError):
+        fit.coefficients[0] = 1.0
+    query = ("Greg Fields", "Jonathan Walsh", "Zerg", "Terran", "Xel'Naga Caverns")
+    before = mb.win_probability(fit, *query)  # builds the fit's lookup
+    beta = fit.coefficients.copy()
+    beta[fit.index.player_columns["Greg Fields"]] += 1.0
+    moved = replace(fit, coefficients=beta)
+    assert mb.win_probability(moved, *query) == mb.sigmoid(query_terms(moved, *query)[0])
+    assert mb.win_probability(moved, *query) > before
+    assert mb.win_probability(fit, *query) == before
+    # the record holds its own copy: the caller's vector stays writable
+    assert beta.flags.writeable and not moved.coefficients.flags.writeable
+    beta[:] = 0.0
+    assert mb.win_probability(replace(fit, coefficients=beta), *query) == 0.5
+    assert moved.coefficients[fit.index.player_columns["Greg Fields"]] == 2.098 + 1.0
+    _answers(query, fit, moved)
 
 
 def test_common_shift_invariance():
