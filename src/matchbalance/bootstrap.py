@@ -1,16 +1,16 @@
 """Case-resampling bootstrap over match records.
 
 Each draw picks the games of a :func:`resample` of the dataset, from
-the same random stream, but takes no rows: it counts the games and wins
-it holds on each of the dataset's distinct coded rows, found once per
-dataset (``design._counted_design``).  The draw is indexed afresh from
-those counts (so the anchored set can change with the resampled game
-counts), its rows that hold games are encoded once each, and it is
-refitted and aggregated into the per-race-pair mean balance statistic
-or the dispersion estimate, whose sum runs over the drawn games in draw
-order.  Every bit equals that of resampling the records and refitting.
-Draw ``b`` of master seed ``s`` uses
-``numpy.random.SeedSequence((s, b))``, so results never depend on
+the same random stream, but takes no rows: like every index and design,
+it counts the games and wins it holds on each of the dataset's distinct
+coded rows, found once per dataset (``design._counted_design``).  The
+draw is indexed afresh from those counts (so the anchored set can
+change with the resampled game counts), its rows that hold games are
+encoded once each, and it is refitted and aggregated into the
+per-race-pair mean balance statistic or the dispersion estimate, whose
+sum runs over the drawn games in draw order.  Every bit equals that of
+resampling the records and refitting.  Draw ``b`` of master seed ``s``
+uses ``numpy.random.SeedSequence((s, b))``, so results never depend on
 ``jobs`` or on execution order.
 
 The draws' designs are fitted together, as stacks (``glm._fit_stacks``):

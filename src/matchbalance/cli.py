@@ -120,9 +120,10 @@ def _fit_from_args(args):
     return data, fit_irls(data, _fit_options(args))
 
 
-def _add_fit_flags(p) -> None:
-    p.add_argument("--min-games", type=_at_least(1), default=6,
-                   help="anchor players with fewer games than this (default 6)")
+def _add_fit_flags(p, anchoring: bool = True) -> None:
+    if anchoring:
+        p.add_argument("--min-games", type=_at_least(1), default=6,
+                       help="anchor players with fewer games than this (default 6)")
     p.add_argument("--max-iter", type=_at_least(1), default=100)
     p.add_argument("--tol", type=_fit_option("tolerance"), default=1e-8)
 
@@ -403,7 +404,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lasso", help="L1-penalized fit (no anchoring)")
     _add_input(p)
-    _add_fit_flags(p)
+    _add_fit_flags(p, anchoring=False)
     p.add_argument("--l1", type=_fit_option("l1_lambda"),
                    help="penalty; omit to select by CV")
     p.add_argument("--folds", type=_at_least(2), default=10)

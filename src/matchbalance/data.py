@@ -9,8 +9,8 @@ dates are strictly ``YYYY-MM-DD`` and durations are integer seconds.
 A :class:`Dataset` stores the games as integer-coded columns.  Parsing,
 simulation and :meth:`Dataset.from_records` build it through one column
 coder, which gives names codes as they arrive and sorts each name table
-at the end; filtering is a row take of it, and bootstrap draws and CV
-folds count games on its distinct coded rows (``Dataset._coded``).
+at the end; filtering is a row take of it, and every index and design
+counts games on its distinct coded rows (``Dataset._coded``).
 A :class:`MatchRecord` is a row view, built only when asked for.
 
 :func:`parse_matches` reads its source a block of whole lines at a time,
@@ -181,17 +181,23 @@ class Dataset:
         """The distinct coded rows (player1, player2, race1, race2, map), in
         sorted order, each game's row among them, and each game's winner.
 
-        A bootstrap draw or a CV fold is counts on these rows."""
-        codes = self._rows[:, :5]
-        order = np.lexsort(codes.T[::-1])
-        first = np.zeros(len(codes), bool)  # where, in sorted order, a distinct row starts
-        first[:1] = True
-        for column in codes.T:  # one column at a time, to hold no sorted copy
-            ordered = column[order]
-            first[1:] |= ordered[1:] != ordered[:-1]
-        label = np.empty(len(codes), np.intp)
-        label[order] = np.cumsum(first) - 1
-        return codes[order[first]], label, self._rows[:, 5]
+        Rows are grouped on one int64 key of their codes, each a digit in
+        base one more than its column's largest code; where a digit could
+        overflow it, the key so far is first replaced by its rank, so the
+        grouping is exact for any codes."""
+        columns = self._rows[:, :5].T.copy()  # contiguous, for the key's passes
+        key, size = 0, 1  # size bounds the key
+        for column in columns:
+            base = int(column.max(initial=-1)) + 1
+            if size * base > np.iinfo(np.int64).max:
+                distinct, key = np.unique(key, return_inverse=True)
+                size = len(distinct)
+            key, size = key * base + column, size * base
+        distinct, label = np.unique(key, return_inverse=True)
+        first = np.empty(len(distinct), np.intp)
+        first[label] = np.arange(len(key))  # a game of each distinct row
+        coded = self._rows.take(first, axis=0)[:, :5]  # take: a faster row gather
+        return np.ascontiguousarray(coded), label, self._rows[:, 5]
 
     @cached_property
     def records(self) -> tuple[MatchRecord, ...]:

@@ -13,26 +13,25 @@ Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
-Both steps are array operations on a dataset's integer-coded columns:
-each player code and map code has its columns (``_columns``, or
-``_index`` with the index it builds), each coded row's three entries
-are lookups in them (``_slots``), and rows are keyed and merged from
-those entries (``_merge``), never read back from a per-game matrix.
-The design is held as its distinct rows up to sign, one ``scipy.sparse``
-CSR matrix, each row with its game and win counts (``_merge``), and
-each game keeps the number of its row and its sign (``EncodedDataset``):
-the fit reads the rows and their counts, per-game predictions a row and
-a sign.  A subset of a design's games (a lambda-selection fold) is a
-count of them on its rows.  A bootstrap draw or a cross-validation
-training fold takes no rows: it is a game count and a win count on each
-of the dataset's distinct coded rows (player1, player2, race1, race2,
-map; ``Dataset._coded``), and the rows it holds are indexed, each with
-its games, encoded once each, and merged with their counts summed
-(``_counted_design``).  That gives every bit of the index and the
-design of the same games taken row by row.  How many directions the
-anchoring leaves unidentified follows from the design's structure alone
-(``_nullity``), which the fit reads once, for every design of a stack
-in one call.
+Both steps take one route from games to a design: any set of a
+dataset's games (all of them, in order; a bootstrap draw; a
+cross-validation fold) is a game count and a win count on each of the
+dataset's distinct coded rows (player1, player2, race1, race2, map;
+``Dataset._coded``), never a row take.  The rows that hold games are
+indexed with their counts (``_index``) and encoded once each
+(``_design``): each player code and map code has its columns
+(``_columns``, or ``_index`` with the index it builds), each row's
+three entries are lookups in them (``_slots``), and rows are keyed and
+merged from those entries, their counts summed (``_merge``).  That
+gives every bit of the index and the design of the same games taken
+and encoded row by row.  The design is held as its distinct rows up to
+sign, one ``scipy.sparse`` CSR matrix, each row with its game and win
+counts, and each game keeps the number of its row and its sign
+(``EncodedDataset``).  A subset of a design's games (a lambda-selection
+fold) is a count of them on its rows.  How many directions the
+anchoring leaves unidentified follows from the design's structure
+alone (``_nullity``), which the fit reads once, for every design of a
+stack in one call.
 """
 
 from __future__ import annotations
@@ -112,23 +111,24 @@ def build_parameter_index(
     by lexicographically smallest id.  Matchup columns are created for
     every (map, canonical pair) combination, observed or not.
     """
-    return _index(d, d._rows, None, min_games, ensure_identifiable)[0]
+    return _index(d, np.bincount(d._coded[1]), min_games, ensure_identifiable)[0]
 
 
-def _index(d: Dataset, rows: np.ndarray, m: np.ndarray | None, min_games: int,
-           ensure_identifiable: bool = True
+def _index(d: Dataset, m: np.ndarray, min_games: int, ensure_identifiable: bool = True
            ) -> tuple[ParameterIndex, np.ndarray, np.ndarray]:
-    """The index of the games on the coded ``rows`` of ``d`` (player1,
-    player2, race1, race2, map, ...), row i holding m[i] games, or one
-    each when ``m`` is None: :func:`build_parameter_index`'s body.
+    """The index of games counted on the distinct coded rows of ``d``
+    (``Dataset._coded``), m[i] of them on row i and none past the end of
+    ``m``: :func:`build_parameter_index`'s body.
 
     Also returns the column of each player code and the 3 matchup columns
     of each map code, -1 where the index has none (``_columns``).
     """
-    if not len(rows):
+    kept = np.flatnonzero(m)
+    if not len(kept):
         raise ValueError("cannot index an empty dataset")
     if min_games < 1:
         raise ValueError(f"min_games must be a positive integer, got {min_games}")
+    rows, m = d._coded[0].take(kept, axis=0), m[kept]  # take: a faster row gather
     size = len(d._players)
     games = np.bincount(rows[:, 0], m, size) + np.bincount(rows[:, 1], m, size)
     live = np.flatnonzero(games)  # codes of the players present, in id order
@@ -145,7 +145,7 @@ def _index(d: Dataset, rows: np.ndarray, m: np.ndarray | None, min_games: int,
         fewest = by_games[np.cumsum(sizes) - sizes]
         anchored[fewest[np.bincount(component, weights=anchored) == 0]] = True
 
-    free, maps = live[~anchored], np.unique(rows[:, 4])
+    free, maps = live[~anchored], np.flatnonzero(np.bincount(rows[:, 4]))
     player = np.full(size, -1, np.intc)
     player[free] = np.arange(len(free))
     matchup = np.full((len(d._maps), 3), -1, np.intc)
@@ -284,30 +284,20 @@ def _check(d: Dataset, idx: ParameterIndex | None = None) -> None:
     Unrecognized race tags always fail; given an index, so do players it
     does not know and, in games between different races, maps it does not know.
     """
-    p1, p2, r1, r2, m, _ = d._rows.T
+    coded, label, _ = d._coded  # faults are found on the distinct rows
+    p1, p2, r1, r2, m = coded.T
     known = np.array([idx is None or idx.knows_player(p) for p in d._players], bool)
     mapped = np.array([idx is None or name in idx.maps for name in d._maps], bool)
     faults = np.stack([~known[p1], ~known[p2], r1 >= len(RACES), r2 >= len(RACES),
                        (r1 != r2) & ~mapped[m]], axis=1)
     if faults.any():
-        i, kind = divmod(int(faults.argmax()), faults.shape[1])
-        player1, player2 = d._players[p1[i]], d._players[p2[i]]
+        i = int(faults.any(axis=1)[label].argmax())  # the first game on a faulty row
+        kind, (p1, p2, r1, r2, m) = int(faults[label[i]].argmax()), coded[label[i]].tolist()
+        player1, player2 = d._players[p1], d._players[p2]
         reason = (f"unknown player {player1!r}", f"unknown player {player2!r}",
-                  *(f"unrecognized race tag {d._races[r]!r}" for r in (r1[i], r2[i])),
-                  f"unknown map {d._maps[m[i]]!r}")[kind]
-        raise EncodingError(
-            f"record {i} ({player1} vs {player2} on {d._maps[m[i]]}): {reason}")
-
-
-def _encode(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
-    """Encode a dataset's games, in order: each game's row, merged into
-    the design's distinct rows.
-
-    The caller has checked the race tags (``_check``).
-    """
-    response = d._rows[:, 5].astype(np.int8)
-    return EncodedDataset(*_merge(*_slots(d._rows, *_columns(d, idx)), idx.p,
-                                  np.ones(len(response)), response), response, idx)
+                  *(f"unrecognized race tag {d._races[r]!r}" for r in (r1, r2)),
+                  f"unknown map {d._maps[m]!r}")[kind]
+        raise EncodingError(f"record {i} ({player1} vs {player2} on {d._maps[m]}): {reason}")
 
 
 def _columns(d: Dataset, idx: ParameterIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -325,12 +315,12 @@ def _columns(d: Dataset, idx: ParameterIndex) -> tuple[np.ndarray, np.ndarray]:
 def _slots(rows: np.ndarray, player: np.ndarray,
            matchup: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of the design rows of the coded ``rows`` (player1,
-    player2, race1, race2, map, ...), given the columns of each player code
+    player2, race1, race2, map), given the columns of each player code
     and map code (``_columns``): per row its player1, player2 and matchup
     column, -1 for no entry, and the sign of its matchup entry, for
     ``_merge``.  Race codes must be those of RACES.
     """
-    p1, p2, r1, r2, m = rows[:, :5].T
+    p1, p2, r1, r2, m = rows.T
     pair, sign = _ORIENTED[r1, r2].T
     slots = np.stack([player[p1], player[p2], np.where(pair >= 0, matchup[m, pair], -1)],
                      axis=1)
@@ -338,31 +328,32 @@ def _slots(rows: np.ndarray, player: np.ndarray,
 
 
 def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDataset:
-    """The games of ``d`` at ``picked`` (row indices, which may repeat), as
-    game and win counts on d's distinct coded rows (``Dataset._coded``),
-    indexed and encoded.
+    """The games of ``d`` at ``picked`` (row indices, which may repeat),
+    indexed afresh and encoded (``_design``): for s = d._take(picked),
+    build_design(s, build_parameter_index(s, min_games)) to the bit,
+    without the take."""
+    idx, player, matchup = _index(d, np.bincount(d._coded[1][picked]), min_games)
+    return _design(d, picked, player, matchup, idx)
 
-    For s = d._take(picked) this is build_design(s, build_parameter_index(s,
-    min_games)) to the bit, without the take: rows that hold no game drop
-    out, the index counts each row's games, and the distinct-row merge
-    sums them.  A game with an unrecognized race tag raises an
-    EncodingError, as build_design would; the caller that wants the
-    message naming the record checks ``d`` once (``_check``).
-    """
+
+def _design(d: Dataset, picked: np.ndarray | None, player: np.ndarray, matchup: np.ndarray,
+            idx: ParameterIndex) -> EncodedDataset:
+    """The design of the games of ``d`` at ``picked`` (row indices, which
+    may repeat; None for every game, in order), as counts on d's distinct
+    coded rows, given each player code's and map code's columns
+    (``_columns``).  An unrecognized race tag raises an EncodingError that
+    names no record; ``_check`` names it."""
     coded, label, winner = d._coded
-    drawn, won = label[picked], winner[picked]
-    m = np.bincount(drawn, minlength=len(coded))
+    drawn, won = (label, winner) if picked is None else (label[picked], winner[picked])
+    m = np.bincount(drawn)
     kept = np.flatnonzero(m)
-    rows, m = coded[kept], m[kept]
+    rows = coded.take(kept, axis=0)
     if (rows[:, 2:4] >= len(RACES)).any():
         raise EncodingError("a game has an unrecognized race tag")
-    idx, player, matchup = _index(d, rows, m, min_games)
-    X, games, wins, row, orient = _merge(
-        *_slots(rows, player, matchup), idx.p, m.astype(float),
-        np.bincount(drawn, weights=won, minlength=len(coded))[kept])
-    position = np.zeros(len(coded), np.intp)
-    position[kept] = np.arange(len(kept))
-    game_row = position[drawn]
+    X, games, wins, row, orient = _merge(*_slots(rows, player, matchup), idx.p,
+                                         m[kept].astype(float),
+                                         np.bincount(drawn, weights=won)[kept])
+    game_row = (np.cumsum(m > 0) - 1)[drawn]  # each game's row among the kept
     return EncodedDataset(X, games, wins, row[game_row], orient[game_row],
                           won.astype(np.int8), idx)
 
@@ -371,7 +362,7 @@ def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     """Encode every record, in dataset order; an EncodingError names the
     first record with an unknown player or map or race tag."""
     _check(d, idx)
-    return _encode(d, idx)
+    return _design(d, None, *_columns(d, idx), idx)
 
 
 def _nullity(X: scipy.sparse.csr_array, gram: scipy.sparse.csr_array, sizes: np.ndarray,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _check, _counted_design, _encode
+from .design import EncodedDataset, _check, _columns, _counted_design, _design
 from .glm import (FitError, FitOptions, FitResult, _accuracy, _cv_folds, _fit_stacks,
                   chi_square_sf)
 
@@ -139,9 +139,9 @@ def k_fold_cv(
     Rows are partitioned uniformly at random into k near-equal folds.
     Each fold's model is indexed and fitted from its training rows
     only; its test rows, in dataset order, are encoded against that
-    index, so players or maps unseen in training contribute 0 at
-    prediction time, mirroring the anchoring policy.  The k training
-    fits run together, as stacks (``glm._fit_stacks``).
+    index (both as counts on d's distinct coded rows), so unseen players
+    or maps contribute 0 at prediction time, mirroring the anchoring
+    policy.  The k training fits run together (``glm._fit_stacks``).
     """
     folds = _cv_folds(len(d), k, seed)
     _check(d)  # race tags, once: every fold's games are games of d
@@ -156,7 +156,7 @@ def k_fold_cv(
     per_fold: list[tuple[float, float]] = []
     for (_, test_rows), (idx, beta, train_acc) in zip(folds,
                                                      _fit_stacks(designs, opts, trained)):
-        test = _encode(d._take(test_rows), idx)
+        test = _design(d, test_rows, *_columns(d, idx), idx)
         per_fold.append((train_acc, _accuracy(beta, test)))
 
     train_acc = np.array([a for a, _ in per_fold])

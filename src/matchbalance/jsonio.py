@@ -5,7 +5,8 @@ order given.  Floats are written as their shortest round-trip text
 (``repr``), so artifacts load back to the same floats, an integral
 float stays a float (``0.0``), and identical runs produce
 byte-identical files.  Non-finite floats are rejected, both on writing
-and on loading.
+and on loading, and so, on loading, are integers too large for a float
+and documents nested too deeply to parse.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def load_json(path: str | Path):
-    """Parse the JSON at ``path``, refusing a number that is not finite."""
-    return json.loads(Path(path).read_text(encoding="utf-8"),
-                      parse_float=_finite, parse_constant=_finite)
+    """Parse the JSON at ``path``, refusing a number that no float holds;
+    a document nested too deeply to parse is a ValueError too."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite,
+                          parse_int=_int, parse_constant=_finite)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 def _finite(token: str) -> float:
@@ -46,6 +51,13 @@ def _finite(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"number {token} is not finite")
     return value
+
+
+def _int(token: str) -> int:
+    """The int of a JSON integer token; ValueError naming one too large for a float."""
+    if math.isinf(float(token)):
+        raise ValueError(f"number {token} is too large for a float")
+    return int(token)
 
 
 def _check_shape(obj, shape, key: str | None = None) -> None:

@@ -42,6 +42,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
                "--eta-cap", 30) == 1
     assert "unrecognized arguments: --eta-cap 30" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
+    # lasso anchors no player, so it takes no anchoring threshold
+    assert run("lasso", "--input", "games.csv", "--out", tmp_path / "lasso.json",
+               "--min-games", 4) == 1
+    assert "unrecognized arguments: --min-games 4" in capsys.readouterr().err
+    assert not (tmp_path / "lasso.json").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -179,10 +184,13 @@ def test_fit_artifact_contradictions_exit_2(league_csv, tmp_path, capsys):
     assert not (tmp_path / "rank.json").exists()
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   pytest.param("1" + "0" * 400, id="401-digit-int")])
 def test_non_finite_artifact_numbers_exit_2(token, league_csv, tmp_path, capsys):
-    """A number JSON parsers read as NaN or an infinity is a data error
-    naming the file and the token, whichever key holds it."""
+    """A number JSON parsers read as NaN or an infinity, or an integer too
+    large for a float, is a data error naming the file and the token,
+    whichever key holds it."""
+    reason = "is too large for a float" if token.isdigit() else "is not finite"
     assert run("fit", "--input", league_csv, "--out", tmp_path / "fit.json") == 0
     assert run("diagnose", "lrt", "--input", league_csv,
                "--out", tmp_path / "lrt.json") == 0
@@ -213,12 +221,25 @@ def test_non_finite_artifact_numbers_exit_2(token, league_csv, tmp_path, capsys)
         for argv in readers:
             assert run(*argv, "--fit", path) == 2
             err = capsys.readouterr().err
-            assert f"error: {path}: not a fit artifact: number {token} is not finite" in err
+            assert f"error: {path}: not a fit artifact: number {token} {reason}" in err
     lrt = planted("statistic.json", load_json(tmp_path / "lrt.json"), ("statistic",))
     assert run("report", "--fit", tmp_path / "fit.json", "--lrt", lrt,
                "--out", tmp_path / "report.txt") == 2
     err = capsys.readouterr().err
-    assert f"error: {lrt}: not a lrt artifact: number {token} is not finite" in err
+    assert f"error: {lrt}: not a lrt artifact: number {token} {reason}" in err
+    assert not (tmp_path / "rank.json").exists() and not (tmp_path / "report.txt").exists()
+
+
+def test_deeply_nested_artifact_exits_2(tmp_path, capsys):
+    """A document nested too deeply for the parser is a data error naming the file."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for argv in (("rank", "--out", tmp_path / "rank.json"),
+                 ("report", "--out", tmp_path / "report.txt"),
+                 ("predict", "--player1", "a", "--race1", "Zerg", "--player2", "b",
+                  "--race2", "Zerg", "--map", "m")):
+        assert run(*argv, "--fit", path) == 2
+        assert f"error: {path}: not a fit artifact: nested too deeply" in capsys.readouterr().err
     assert not (tmp_path / "rank.json").exists() and not (tmp_path / "report.txt").exists()
 
 

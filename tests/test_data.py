@@ -132,6 +132,22 @@ def test_filter_valid_noop_and_idempotent():
     assert mb.filter_valid(filtered) == filtered
 
 
+def test_coded_rows_group_exactly_past_an_int64_key():
+    # each game has its own players, race tags and map, so the five columns'
+    # code ranges multiply past 2**63 and the grouping key must be re-ranked
+    n = 5000
+    names, tags = [f"p{i:05d}" for i in range(2 * n)], [f"t{i:05d}" for i in range(2 * n)]
+    raw = Dataset._from_columns(names[:n], names[n:], tags[:n], tags[n:],
+                                [f"m{i:05d}" for i in range(n)], [1] * n, [733000] * n,
+                                [60] * n)
+    d = raw._take(np.random.default_rng(0).integers(0, n, 2 * n))
+    widths = [int(column.max()) + 1 for column in d._rows[:, :5].T]
+    assert np.prod(widths, dtype=object) > np.iinfo(np.int64).max
+    coded, label, winner = d._coded
+    assert np.array_equal(coded, np.unique(d._rows[:, :5], axis=0))
+    assert np.array_equal(coded[label], d._rows[:, :5]) and np.array_equal(winner, d._rows[:, 5])
+
+
 def test_games_per_player_identities():
     _, d = simple_league(5, n=300)
     counts = mb.games_per_player(d)

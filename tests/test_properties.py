@@ -16,8 +16,8 @@ bitwise the accuracy with |eta| clipped to the fit's cap.  A design
 fitted in a stack with others, in any order, gives every bit of the fit
 it gives alone, also beside designs that are stabilized, run to the
 iteration limit or fail to solve.  Games picked from a
-dataset as counts on its distinct coded rows, as bootstrap draws and CV
-training folds are, give every bit of the index, the distinct rows and
+dataset as counts on its distinct coded rows, as every index and design
+counts them, give every bit of the index, the distinct rows and
 the no-data columns of the same games taken row by row, and so does a
 subset of a design's games counted on its rows, as lambda-selection
 folds are; read per game, each design's linear predictor is bitwise the
@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _counted_design, _encode, _nullity
+from matchbalance.design import _columns, _counted_design, _design, _nullity
 from matchbalance import glm
 from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
 from helpers import pinned_small_league
@@ -172,8 +172,9 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
     assert idx == index_records(train, m, identifiable)
     assert idx == mb.build_parameter_index(Dataset.from_records(train), m,
                                            ensure_identifiable=identifiable)
-    assert_same_design(_encode(take, idx), encode_records(train, idx))
-    assert_same_design(_encode(d._take(np.array(held_out, dtype=np.intp)), idx),
+    assert_same_design(mb.build_design(take, idx), encode_records(train, idx))
+    # a CV test fold: held-out games counted on d's rows, encoded against idx
+    assert_same_design(_design(d, np.array(held_out, dtype=np.intp), *_columns(d, idx), idx),
                        encode_records(test, idx, strict=False))
     try:
         expected = encode_records(test, idx)
@@ -214,7 +215,7 @@ def assert_same_games(data, expected):
 @encoder_settings
 @given(leagues(), min_games, st.data())
 def test_counted_games_give_the_row_take_design(d, m, draw):
-    # a bootstrap draw or a CV training fold, as game counts on the dataset's
+    # a bootstrap draw or a CV fold, as game counts on the dataset's
     # distinct coded rows, gives every bit of the index, the distinct rows
     # and the no-data columns of its row take; so does a subset of the whole
     # dataset's design, as a lambda-selection fold takes it; the rows
@@ -228,9 +229,14 @@ def test_counted_games_give_the_row_take_design(d, m, draw):
         if holds:
             event(case)
 
-    coded, label, winner = d._coded
-    assert np.array_equal(coded, np.unique(d._rows[:, :5], axis=0))
-    assert np.array_equal(coded[label], d._rows[:, :5]) and np.array_equal(winner, d._rows[:, 5])
+    # the distinct coded rows group exactly, also unfiltered rows and a
+    # filter_valid take, whose race table is wider than its rows
+    raw = draw.draw(raw_datasets)
+    for data in (d, raw, mb.filter_valid(raw)):
+        coded, label, winner = data._coded
+        assert np.array_equal(coded, np.unique(data._rows[:, :5], axis=0))
+        assert np.array_equal(coded[label], data._rows[:, :5])
+        assert np.array_equal(winner, data._rows[:, 5])
 
     counted = _counted_design(d, rows, m)
     assert counted.index == idx
