@@ -1,17 +1,25 @@
 """Case-resampling bootstrap over match records.
 
-Each draw picks the games of a :func:`resample` of the dataset, from
-the same random stream, but takes no rows: like every index and design,
-it counts the games and wins it holds on each of the dataset's distinct
-coded rows, found once per dataset (``design._counted_design``).  The
-draw is indexed afresh from those counts (so the anchored set can
-change with the resampled game counts), its rows that hold games are
-encoded once each, and it is refitted and aggregated into the
-per-race-pair mean balance statistic or the dispersion estimate, whose
-sum runs over the drawn games in draw order.  Every bit equals that of
-resampling the records and refitting.  Draw ``b`` of master seed ``s``
-uses ``numpy.random.SeedSequence((s, b))``, so results never depend on
-``jobs`` or on execution order.
+The estimand is the full fit's: each call indexes the whole dataset
+once, with the caller's ``min_games`` (``design._index``), and every
+draw is encoded against that index, so each draw has the full sample's
+anchored players, components and columns, and its statistic is the one
+the full fit reports (the plug-in principle: the same estimator on each
+resample).  A draw picks the games of a :func:`resample` of the
+dataset, from the same random stream, but takes no rows: like every
+design, it counts the games and wins it holds on each of the dataset's
+distinct coded rows (``Dataset._coded``), encodes its rows that hold
+games once each (``design._design``), and is refitted and aggregated
+into the per-race-pair mean balance statistic or the dispersion
+estimate, whose sum runs over the drawn games in draw order.  Every bit
+equals that of resampling the records, encoding them against the whole
+dataset's index and refitting.  A player the draw holds no game of
+keeps a column with no data, which the fit freezes at 0 and no pair's
+statistic reads; a balance draw that holds no game in a (map, race pair)
+cell the whole dataset observes fails ("lacks a matchup cell"), since
+that column would enter its map average at 0.  Draw ``b`` of master
+seed ``s`` uses ``numpy.random.SeedSequence((s, b))``, so results never
+depend on ``jobs`` or on execution order.
 
 The draws' designs are fitted together, as stacks (``glm._fit_stacks``):
 each Newton step makes one assembly and each conjugate-gradient step
@@ -20,11 +28,12 @@ one sparse product for all of them, and a draw's fit is bitwise the one
 fits one contiguous chunk of the draws, because the fits hold the
 interpreter lock; with ``jobs=1`` the calling process fits them all.
 Workers are forked where the platform allows, so they inherit the
-dataset and its distinct coded rows, which the caller finds before the
-fork, instead of receiving a pickled copy; each one still adds its own
-memory as it writes.  On Python 3.12 and later, forking from a caller that runs
-other threads emits a ``DeprecationWarning``.  Every call starts its
-workers and stops them before it returns, also when it raises.
+dataset, its distinct coded rows and the index, which the caller builds
+before the fork, instead of receiving a pickled copy; each one still
+adds its own memory as it writes.  On Python 3.12 and later, forking
+from a caller that runs other threads emits a ``DeprecationWarning``.
+Every call starts its workers and stops them before it returns, also
+when it raises.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset
-from .design import CANONICAL_PAIRS, _counted_design
+from .data import RACES, Dataset
+from .design import CANONICAL_PAIRS, _design, _index, _slots
 from .diagnostics import pearson_dispersion
 from .glm import FitError, FitOptions, FitResult, _fit_stacks
 
@@ -111,33 +120,46 @@ def _dispersion(fit: FitResult, data) -> float:
     return pearson_dispersion(fit, data).phi
 
 
-def _run_draws(d, opts, min_games, seed, statistic, draws: range) -> list:
+def _run_draws(d, columns, opts, cells, seed, statistic, draws: range) -> list:
     """Per draw b in ``draws``, in order, the (statistic, None) of its
     converged refit, or (None, cause).  The draws' designs are fitted
     together, as stacks (``glm._fit_stacks``)."""
-    designs = (_draw_design(d, min_games, seed, b) for b in draws)
-    return _fit_stacks(designs, opts, partial(_outcome, statistic))
+    designs = (_draw_design(d, columns, seed, b) for b in draws)
+    return _fit_stacks(designs, opts, partial(_outcome, statistic, cells))
 
 
-def _draw_design(d, min_games, seed, b):
+def _draw_design(d, columns, seed, b):
     """Draw ``b``'s design, as the game counts of ``resample``'s draw on the
-    dataset's distinct coded rows, or None when it cannot be indexed or
-    encoded."""
+    dataset's distinct coded rows, encoded against the whole dataset's
+    ``columns`` (player columns, matchup columns, index), or None when it
+    cannot be encoded."""
     picked = _draw(d, np.random.default_rng(np.random.SeedSequence((seed, b))))
     try:
-        return _counted_design(d, picked, min_games)
+        return _design(d, picked, *columns)
     except ValueError:
         return None
 
 
-def _outcome(statistic, data, fit):
-    """A draw's (statistic, None), or (None, cause) without a design or a converged fit."""
+def _cells(d: Dataset, player: np.ndarray, matchup: np.ndarray) -> np.ndarray:
+    """The matchup columns that hold a game of ``d``: its observed (map,
+    race pair) cells.  Rows with an unrecognized race tag hold none."""
+    rows = d._coded[0]
+    rows = rows[(rows[:, 2:4] < len(RACES)).all(axis=1)]
+    column = _slots(rows, player, matchup)[0][:, 2]
+    return np.unique(column[column >= 0])
+
+
+def _outcome(statistic, cells, data, fit):
+    """A draw's (statistic, None), or (None, cause) without a design, a
+    converged fit or a game in each of ``cells``."""
     if data is None:
         return None, "raised ValueError"
     if isinstance(fit, FitError):
         return None, "raised FitError"
     if not fit.converged:
         return None, "did not converge"
+    if np.isin(cells, fit.no_data_columns).any():
+        return None, "lacks a matchup cell"
     try:
         return statistic(fit, data), None
     except ValueError:
@@ -184,20 +206,25 @@ def _map_in_processes(run, B: int, workers: int) -> list:
 
 
 def _draws(d: Dataset, B: int, opts: FitOptions, min_games: int, seed: int,
-           jobs: int, statistic) -> tuple[list, int]:
+           jobs: int, statistic, *, every_cell: bool) -> tuple[list, int]:
     """Successful draws' statistics in draw order, and the failure count.
 
-    Draws use independent derived seeds, and a draw's fit does not depend
-    on the stack it is fitted in, so running them on ``jobs`` workers
-    cannot change the results.  ``jobs=1`` runs them in this process,
-    and ``jobs`` below 1 raises ValueError.  More than 20% failures
-    raises :class:`BootstrapError`, whose message counts the failures by
-    cause.
+    The whole dataset is indexed once, with ``min_games``, here and
+    before any worker forks, and every draw is encoded against that
+    index.  With ``every_cell``, a draw that holds no game in a matchup
+    cell the whole dataset observes fails.  Draws use independent
+    derived seeds, and a draw's fit does not depend on the stack it is
+    fitted in, so running them on ``jobs`` workers cannot change the
+    results.  ``jobs=1`` runs them in this process, and ``jobs`` below 1
+    raises ValueError, as do ``min_games`` below 1 and an empty dataset.
+    More than 20% failures raises :class:`BootstrapError`, whose message
+    counts the failures by cause.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    d._coded  # the distinct coded rows, once, before any worker forks
-    run = partial(_run_draws, d, opts, min_games, seed, statistic)
+    idx, player, matchup = _index(d, np.bincount(d._coded[1]), min_games)
+    cells = _cells(d, player, matchup) if every_cell else np.empty(0, np.intc)
+    run = partial(_run_draws, d, (player, matchup, idx), opts, cells, seed, statistic)
     workers = min(jobs, B)
     results = _map_in_processes(run, B, workers) if workers > 1 else run(range(B))
     draws = [stat for stat, cause in results if cause is None]
@@ -221,16 +248,20 @@ def bootstrap_balance(
     *,
     jobs: int = 1,
 ) -> BootstrapSummary:
-    """Bootstrap distribution of the mean balance statistic.
+    """Bootstrap distribution of the full fit's mean balance statistic.
 
-    Non-converged draws are excluded from the summaries but counted;
-    more than 20% failures raises :class:`BootstrapError`.  ``jobs``
-    caps the worker processes that run the draws (see the module
-    docstring); it never changes the results.
+    Every draw is encoded against the index of the whole dataset (see
+    the module docstring).  Draws that do not converge, or that hold no
+    game in a matchup cell the whole dataset observes, are excluded
+    from the summaries but counted; more than 20% failures raises
+    :class:`BootstrapError`.  ``jobs`` caps the worker processes that
+    run the draws (see the module docstring); it never changes the
+    results.
     """
     if B < 1:
         raise ValueError(f"draw count must be >= 1, got {B}")
-    draws, failed = _draws(d, B, opts, min_games, seed, jobs, _balance)
+    draws, failed = _draws(d, B, opts, min_games, seed, jobs, _balance,
+                           every_cell=True)
 
     by_pair = {
         pair: np.array([draw[pair] for draw in draws]) for pair in CANONICAL_PAIRS
@@ -258,13 +289,15 @@ def bootstrap_dispersion(
     *,
     jobs: int = 1,
 ) -> BootstrapSummary:
-    """Bootstrap distribution of the quasi-binomial dispersion estimate.
+    """Bootstrap distribution of the full fit's quasi-binomial dispersion estimate.
 
-    Failures and ``jobs`` are handled as in :func:`bootstrap_balance`.
+    Draws, failures and ``jobs`` are handled as in :func:`bootstrap_balance`,
+    except that a draw may lack a matchup cell.
     """
     if B < 2:
         raise ValueError(f"draw count must be >= 2, got {B}")
-    draws, failed = _draws(d, B, opts, min_games, seed, jobs, _dispersion)
+    draws, failed = _draws(d, B, opts, min_games, seed, jobs, _dispersion,
+                           every_cell=False)
 
     values = np.array(draws)
     mean = float(values.mean()) if draws else None

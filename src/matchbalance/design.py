@@ -18,7 +18,8 @@ dataset's games (all of them, in order; a bootstrap draw; a
 cross-validation fold) is a game count and a win count on each of the
 dataset's distinct coded rows (player1, player2, race1, race2, map;
 ``Dataset._coded``), never a row take.  The rows that hold games are
-indexed with their counts (``_index``) and encoded once each
+indexed with their counts (``_index``; a bootstrap draw takes the whole
+dataset's index instead) and encoded once each
 (``_design``): each player code and map code has its columns
 (``_columns``, or ``_index`` with the index it builds), each row's
 three entries are lookups in them (``_slots``), and rows are keyed and
@@ -209,12 +210,14 @@ class EncodedDataset:
     def subset(self, games: np.ndarray) -> "EncodedDataset":
         """The design of the games at ``games`` (indices, which may repeat),
         as game and win counts on the rows of ``X`` that hold one."""
-        row, sign, response = self.row[games], self.sign[games], self.response[games]
-        kept, row = np.unique(row, return_inverse=True)
+        drawn, sign, response = self.row[games], self.sign[games], self.response[games]
         won = np.where(sign > 0, response, 1 - response)
-        return EncodedDataset(self.X[kept], np.bincount(row).astype(float),
-                              np.bincount(row, weights=won, minlength=len(kept)),
-                              row, sign, response, self.index)
+        m = np.bincount(drawn)
+        kept = np.flatnonzero(m)
+        row = (np.cumsum(m > 0) - 1)[drawn]  # each game's row among the kept, as in _design
+        return EncodedDataset(self.X[kept], m[kept].astype(float),
+                              np.bincount(drawn, weights=won)[kept], row, sign, response,
+                              self.index)
 
 
 def _merge(slots: np.ndarray, sign: np.ndarray, p: int, games: np.ndarray,
@@ -331,7 +334,9 @@ def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDa
     """The games of ``d`` at ``picked`` (row indices, which may repeat),
     indexed afresh and encoded (``_design``): for s = d._take(picked),
     build_design(s, build_parameter_index(s, min_games)) to the bit,
-    without the take."""
+    without the take.  It serves cross-validation training folds only,
+    where re-indexing a fold is what fitting that fold alone would do; a
+    bootstrap draw is encoded against the whole dataset's index."""
     idx, player, matchup = _index(d, np.bincount(d._coded[1][picked]), min_games)
     return _design(d, picked, player, matchup, idx)
 

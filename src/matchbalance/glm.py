@@ -165,11 +165,14 @@ class FitResult:
 
     ``coefficients`` is a read-only float64 copy of the vector given.
     Anchored players own no column, so their coefficients are
-    implicitly zero.  ``no_data_columns`` lists matchup columns that
-    had no observations and were frozen at zero.  ``stabilized`` means
-    the active design is structurally rank-deficient, so every Newton
-    system's diagonal was scaled by ``1 + LAST_RESORT_RIDGE`` and that
-    relative ridge chose the unidentified directions.
+    implicitly zero.  ``no_data_columns`` lists the columns that had
+    no observations and were frozen at zero: matchup columns with no
+    games and, in a bootstrap draw encoded against the whole dataset's
+    index, player columns of players the draw holds no game of.
+    ``stabilized`` means the active design is structurally
+    rank-deficient, so every Newton system's diagonal was scaled by
+    ``1 + LAST_RESORT_RIDGE`` and that relative ridge chose the
+    unidentified directions.
     """
 
     coefficients: np.ndarray

@@ -191,15 +191,15 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
         mb.bootstrap_balance(d, B=10, opts=opts, min_games=6, seed=0)
 
     # the draws' fits come as stacks from bt._fit_stacks: plant 3 FitErrors
-    # among the fits it hands on and 2 ValueErrors in the draws' designs
+    # among the fits it hands on and 2 ValueErrors in the draws' encoder
     designs = iter(range(10))
-    counted_design = bt._counted_design
+    design = bt._design
     fit_stacks = bt._fit_stacks
 
     def failing_design(*args):
         if next(designs) in (3, 4):
             raise ValueError("planted")
-        return counted_design(*args)
+        return design(*args)
 
     def failing_fits(designs, opts, use):
         draws = iter(range(10))
@@ -209,7 +209,7 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
 
         return fit_stacks(designs, opts, planted)
 
-    monkeypatch.setattr(bt, "_counted_design", failing_design)
+    monkeypatch.setattr(bt, "_design", failing_design)
     monkeypatch.setattr(bt, "_fit_stacks", failing_fits)
     with pytest.raises(mb.BootstrapError,
                        match=r"5 of 10 .*\(3 raised FitError, 2 raised ValueError\)"):
@@ -256,32 +256,111 @@ def test_import_starts_no_process_machinery():
 
 
 def test_bootstrap_draws_equal_the_record_pipeline():
-    # each draw is a row take, yet equals resampling the records and refitting
+    # each draw is game counts on the distinct coded rows, yet equals
+    # resampling the records, encoding them against the full data's index
+    # and refitting
     _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
-    summary = mb.bootstrap_balance(d, B=10, min_games=6, seed=4)
+    idx = mb.build_parameter_index(d, 6)
     expected = []
     for b in range(10):
         sample = resample_records(d, np.random.default_rng(np.random.SeedSequence((4, b))))
-        fit = mb.fit_irls(mb.build_design(sample, mb.build_parameter_index(sample, 6)))
+        fit = mb.fit_irls(mb.build_design(sample, idx))
         assert fit.converged
         expected.append(mb.aggregate_balance(fit).per_pair)
-    assert summary.failed == 0
-    assert summary.draws == expected
+    for jobs in (1, 2):
+        summary = mb.bootstrap_balance(d, B=10, min_games=6, seed=4, jobs=jobs)
+        assert summary.failed == 0
+        assert summary.draws == expected
 
 
 def test_bootstrap_dispersion_draws_equal_the_record_pipeline():
     # each draw is game counts on the distinct coded rows, and its dispersion
-    # sums the games in draw order, so it equals resampling the records and refitting
+    # sums the games in draw order, so it equals resampling the records,
+    # encoding them against the full data's index and refitting
     _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
-    summary = mb.bootstrap_dispersion(d, B=10, min_games=6, seed=4)
+    idx = mb.build_parameter_index(d, 6)
     expected = []
     for b in range(10):
         sample = resample_records(d, np.random.default_rng(np.random.SeedSequence((4, b))))
-        data = mb.build_design(sample, mb.build_parameter_index(sample, 6))
+        data = mb.build_design(sample, idx)
         fit = mb.fit_irls(data)
         assert fit.converged
         expected.append(mb.pearson_dispersion(fit, data).phi)
+    for jobs in (1, 2):
+        summary = mb.bootstrap_dispersion(d, B=10, min_games=6, seed=4, jobs=jobs)
+        assert summary.failed == 0
+        assert summary.draws == expected
+
+
+def test_bootstrap_indexes_the_dataset_once_per_call(monkeypatch):
+    _, d = casual_base_league(90, n_pro_games=400, n_pros=8, casuals_per_race=6)
+    calls = []
+    index = bt._index
+
+    def counted_index(*args):
+        calls.append(args[2])
+        return index(*args)
+
+    monkeypatch.setattr(bt, "_index", counted_index)
+    assert mb.bootstrap_balance(d, B=10, min_games=6, seed=4).failed == 0
+    assert calls == [6]
+
+
+def test_bootstrap_refuses_bad_min_games_and_empty_data_from_the_call():
+    _, d = casual_base_league(88, n_pro_games=300, n_pros=8, casuals_per_race=4)
+    for run in (mb.bootstrap_balance, mb.bootstrap_dispersion):
+        with pytest.raises(ValueError, match="min_games must be a positive integer"):
+            run(d, B=4, min_games=0, seed=0)
+        with pytest.raises(ValueError, match="empty dataset"):
+            run(Dataset.from_records([]), B=4, seed=0)
+
+
+def test_bootstrap_balance_means_track_the_full_fit_on_demo_07s_league():
+    # every draw has the full fit's anchored players, so the bootstrap
+    # distribution centres on the full estimate (a re-anchored draw moved the
+    # Terran-Protoss mean by 0.66 SD here)
+    rng = np.random.default_rng(7)
+    truth = mb.random_league(60, 3, rng, schedule="tournament_tail")
+    d = mb.generate(truth, 3000, rng)
+    full = mb.aggregate_balance(
+        mb.fit_irls(mb.build_design(d, mb.build_parameter_index(d, 6)))).per_pair
+    summary = mb.bootstrap_balance(d, B=200, min_games=6, seed=2)
     assert summary.failed == 0
+    for pair in mb.CANONICAL_PAIRS:
+        assert abs(summary.mean[pair] - full[pair]) <= 0.25 * summary.sd[pair]
+
+
+def test_bootstrap_balance_draws_lacking_a_matchup_cell_fail(monkeypatch):
+    # a map holds a single Terran-Protoss game; a draw that does not pick it
+    # would enter that cell's column at 0, so it fails with its own cause
+    _, d = casual_base_league(91, n_pro_games=400, n_pros=8, casuals_per_race=6)
+    records = [r for r in d.records if r.map_name != "map_01"
+               or {r.race1, r.race2} != {"Terran", "Protoss"}]
+    lone = next(i for i, r in enumerate(records) if r.map_name == "map_01"
+                and r.race1 != r.race2)
+    records[lone] = replace(records[lone], race1="Terran", race2="Protoss")
+    planted = Dataset.from_records(records)
+    idx = mb.build_parameter_index(planted, 6)
+    picking, expected = [], []
+    for b in range(12):
+        rng = np.random.default_rng(np.random.SeedSequence((5, b)))
+        rows = rng.integers(0, len(planted), size=len(planted))
+        picking.append(lone in rows)
+        if picking[-1]:
+            sample = Dataset.from_records(planted.records[i] for i in rows)
+            expected.append(mb.aggregate_balance(
+                mb.fit_irls(mb.build_design(sample, idx))).per_pair)
+    lacking = picking.count(False)
+    assert 0.2 * 12 < lacking < 12
+    with pytest.raises(mb.BootstrapError,
+                       match=rf"{lacking} of 12 .*\({lacking} lacks a matchup cell\)"):
+        mb.bootstrap_balance(planted, B=12, min_games=6, seed=5)
+    # the dispersion does not average over maps: no draw of it fails so
+    assert mb.bootstrap_dispersion(planted, B=12, min_games=6, seed=5).failed == 0
+
+    monkeypatch.setattr(bt, "MAX_FAILURE_FRACTION", 1.0)
+    summary = mb.bootstrap_balance(planted, B=12, min_games=6, seed=5)
+    assert summary.failed == lacking
     assert summary.draws == expected
 
 

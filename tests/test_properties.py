@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _columns, _counted_design, _design, _nullity
+from matchbalance.design import _columns, _counted_design, _design, _index, _nullity
 from matchbalance import glm
 from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
 from helpers import pinned_small_league
@@ -215,11 +215,12 @@ def assert_same_games(data, expected):
 @encoder_settings
 @given(leagues(), min_games, st.data())
 def test_counted_games_give_the_row_take_design(d, m, draw):
-    # a bootstrap draw or a CV fold, as game counts on the dataset's
-    # distinct coded rows, gives every bit of the index, the distinct rows
-    # and the no-data columns of its row take; so does a subset of the whole
-    # dataset's design, as a lambda-selection fold takes it; the rows
-    # repeat, omit and reorder games
+    # a CV training fold, as game counts on the dataset's distinct coded
+    # rows, gives every bit of the index, the distinct rows and the no-data
+    # columns of its row take; a bootstrap draw, counted so and encoded
+    # against the whole dataset's index, and a subset of the whole dataset's
+    # design, as a lambda-selection fold takes it, give every bit of the row
+    # take's design under that index; the rows repeat, omit and reorder games
     rows = np.array(draw.draw(st.lists(st.integers(0, len(d) - 1), min_size=1,
                                        max_size=2 * len(d))))
     take = d._take(rows)
@@ -246,11 +247,16 @@ def test_counted_games_give_the_row_take_design(d, m, draw):
         np.flatnonzero(np.bincount(X_take.indices, minlength=idx.p) == 0).tolist())
     subset, expected_subset = mb.build_design(d, full).subset(rows), mb.build_design(take, full)
     assert_same_games(subset, expected_subset)
+    whole, *columns = _index(d, np.bincount(d._coded[1]), m)
+    assert whole == full
+    drawn = _design(d, rows, *columns, full)
+    assert_same_games(drawn, expected_subset)
     # read per game, each is the take's design encoded record by record, also
     # where beta gives zeros: at 0, and at whole numbers, whose sums cancel exactly
     rng = np.random.default_rng(len(rows))
-    for data, X in ((expected, X_take), (counted, X_take),
-                    (subset, encode_records(take.records, full)[0])):
+    X_full = encode_records(take.records, full)[0]
+    for data, X in ((expected, X_take), (counted, X_take), (subset, X_full),
+                    (drawn, X_full)):
         for beta in (rng.normal(0.0, 1.0, data.p), np.zeros(data.p),
                      rng.integers(-2, 3, data.p).astype(float)):
             assert data.linear_predictor(beta).tobytes() == (X @ beta).tobytes()
