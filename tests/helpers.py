@@ -1,5 +1,6 @@
 """Shared synthetic-league constructions used across the test modules."""
 import datetime as dt
+import itertools
 
 import numpy as np
 
@@ -15,29 +16,33 @@ def simple_league(seed, n_players=15, n_maps=2, n=1200, skill_sd=1.0, matchup_sd
 
 
 def pinned_small_league(seed):
-    """Small random league plus one anchored casual per race.
+    """Small random league plus casuals that give it a unique interior optimum.
 
-    Each casual plays one win and one loss against the same pro, which
-    pins the race-level gauge directions with an interior optimum, so
-    the maximum-likelihood point is unique (anchor the casuals with
-    min_games=3).
+    Each pro wins one game and loses one against a casual of its own
+    race, and for every map and canonical race pair two casuals win one
+    game and lose one against each other.  Every casual has its own name
+    and plays exactly these 2 games, so min_games=3 anchors all of them.
+    Then the casuals' games are the rows of each pro's column and each
+    matchup column, every one observed with both outcomes.  A separating
+    direction vanishes on every such row (Albert & Anderson 1984), and
+    these rows span every column, so none separates and the
+    maximum-likelihood point is unique and finite.
     """
     rng = np.random.default_rng(seed)
     n_players = int(rng.integers(4, 9))
     n_maps = int(rng.integers(1, 4))
     n = int(rng.integers(120, 281))
     truth = mb.random_league(n_players, n_maps, rng, skill_sd=0.8, matchup_sd=0.5)
-    d = mb.generate(truth, n, rng)
-    recs = list(d.records)
-    pros = sorted(truth.player_skills)
-    for race in mb.RACES:
-        opp = pros[int(rng.integers(len(pros)))]
+    recs = list(mb.generate(truth, n, rng).records)
+    casuals = (f"casual_{k:03d}" for k in itertools.count())
+    pairs = [(pro, truth.race_of[pro], next(casuals), truth.race_of[pro], truth.maps[0])
+             for pro in sorted(truth.player_skills)]
+    pairs += [(next(casuals), race1, next(casuals), race2, m)
+              for m in truth.maps for race1, race2 in mb.CANONICAL_PAIRS]
+    for player1, race1, player2, race2, m in pairs:
         for outcome in (1, 0):
-            recs.append(
-                MatchRecord(outcome, f"casual_{race.lower()}", race,
-                            opp, truth.race_of[opp], truth.maps[0],
-                            dt.date(2025, 3, 1), 900)
-            )
+            recs.append(MatchRecord(outcome, player1, race1, player2, race2, m,
+                                    dt.date(2025, 3, 1), 900))
     return Dataset.from_records(recs)
 
 

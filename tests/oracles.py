@@ -16,8 +16,8 @@ index and encoder (counters, union-find, dict lookups) instead of the
 coded, vectorized ones, and a row-by-row CSV parser that keeps each row
 as a tuple and codes whole columns against sorted tables, instead of
 checking and coding chunks of columns as they are read, and synthetic
-leagues drawn one call of the generator per symbol and per game, instead
-of decoded from its raw words.
+league truths drawn one call of the generator per symbol, instead of one
+array per kind of symbol.
 """
 import csv
 import datetime as dt
@@ -43,7 +43,7 @@ from matchbalance.design import (
 )
 from matchbalance.glm import (_ETA_CAP, LAST_RESORT_RIDGE, MAX_STEP_HALVINGS, FitOptions,
                              fit_irls, log_likelihood, score, sigmoid)
-from matchbalance.simulate import LeagueTruth, true_eta
+from matchbalance.simulate import LeagueTruth
 
 
 def gd_maximize(data, tol=1e-10, max_iter=100000):
@@ -577,31 +577,3 @@ def random_league_loop(n_players, n_maps, rng, *, skill_sd=1.0, matchup_sd=1.0,
     }
     races = {p: RACES[int(rng.integers(len(RACES)))] for p in players}
     return LeagueTruth(skills, effects, races, schedule=schedule)
-
-
-def generate_loop(truth, n, rng):
-    """``generate`` one game at a time: choice, map, winner and duration
-    drawn by four generator calls, eta by ``true_eta``."""
-    players = sorted(truth.player_skills)
-    maps = truth.maps
-    if truth.schedule == "tournament_tail":
-        weights = 1.0 / np.arange(1, len(players) + 1) ** 2.0
-        weights /= weights.sum()
-    else:
-        weights = np.full(len(players), 1.0 / len(players))
-    start = dt.date(2024, 9, 1).toordinal()
-    span_days = 180
-    player1, player2, map_names, winners, durations = [], [], [], [], []
-    for _ in range(n):
-        i1, i2 = rng.choice(len(players), size=2, replace=False, p=weights)
-        p1, p2 = players[i1], players[i2]
-        map_name = maps[int(rng.integers(len(maps)))]
-        player1.append(p1)
-        player2.append(p2)
-        map_names.append(map_name)
-        winners.append(int(rng.random() < sigmoid(true_eta(truth, p1, p2, map_name))))
-        durations.append(int(rng.integers(300, 3601)))
-    return Dataset._from_columns(
-        player1, player2, [truth.race_of[p] for p in player1],
-        [truth.race_of[p] for p in player2], map_names, winners,
-        start + (np.arange(n) * span_days) // max(n, 1), durations)

@@ -351,7 +351,9 @@ def test_bootstrap_balance_draws_lacking_a_matchup_cell_fail(monkeypatch):
             expected.append(mb.aggregate_balance(
                 mb.fit_irls(mb.build_design(sample, idx))).per_pair)
     lacking = picking.count(False)
-    assert 0.2 * 12 < lacking < 12
+    assert 0 < lacking < 12
+    # with no failure allowed, the error counts them under their own cause
+    monkeypatch.setattr(bt, "MAX_FAILURE_FRACTION", 0.0)
     with pytest.raises(mb.BootstrapError,
                        match=rf"{lacking} of 12 .*\({lacking} lacks a matchup cell\)"):
         mb.bootstrap_balance(planted, B=12, min_games=6, seed=5)

@@ -156,6 +156,20 @@ def test_fit_irls_balanced_pair_is_even_money():
     assert np.allclose(fit.fitted_probabilities(data), 0.5)
 
 
+def test_pinned_small_league_casual_games_span_every_column():
+    # the casuals' games, each won once and lost once, alone have full
+    # column rank, so no direction separates the league
+    for seed in range(3001, 3011):
+        d = pinned_small_league(seed)
+        idx = mb.build_parameter_index(d, min_games=3)
+        casuals = {p for p in d.players if p.startswith("casual_")}
+        assert casuals <= set(idx.anchored_players)
+        casual = Dataset.from_records(r for r in d.records
+                                      if {r.player1, r.player2} & casuals)
+        X = per_game(mb.build_design(casual, idx)).toarray()
+        assert np.linalg.matrix_rank(X) == idx.p
+
+
 def test_fit_irls_matches_gradient_descent_oracle():
     for seed in (3001, 3002, 3003):
         d = pinned_small_league(seed)
@@ -167,16 +181,19 @@ def test_fit_irls_matches_gradient_descent_oracle():
 
 
 def test_fit_irls_matches_the_dense_newton_oracle():
-    # min_games=3 anchors the casuals and identifies the model; min_games=1
-    # anchors one player only, which leaves the race directions unidentified,
-    # and there the ridge picks them, so only the fit itself must agree
+    # min_games=3 anchors the casuals and identifies the model; there both
+    # fits stop at inexact iterates (conjugate gradients stop at sqrt(tol)),
+    # so they are compared at a tight tolerance.  min_games=1 anchors one
+    # player only, which leaves the race directions unidentified, and there
+    # the ridge picks them, so only the fit itself must agree
     identified = deficient = 0
     for seed in range(3001, 3011):
         d = pinned_small_league(seed)
-        for min_games in (3, 1):
+        for min_games, opts in ((3, FitOptions(tolerance=1e-12, max_iterations=200)),
+                                (1, FitOptions())):
             data = mb.build_design(d, mb.build_parameter_index(d, min_games))
-            fit = mb.fit_irls(data)
-            beta, deviance, iterations, converged, stabilized = dense_newton_fit(data)
+            fit = mb.fit_irls(data, opts)
+            beta, deviance, iterations, converged, stabilized = dense_newton_fit(data, opts)
             assert (fit.stabilized, fit.iterations, fit.converged) == (
                 stabilized, iterations, converged)
             if stabilized:
