@@ -13,23 +13,24 @@ Low-activity players (and, if needed for identifiability, one player
 per connected component of the opponent graph) are anchored: their
 skill is fixed to zero and they own no column.
 
-Both steps take one route from games to a design: any set of a
-dataset's games (all of them, in order; a bootstrap draw; a
-cross-validation fold) is a game count and a win count on each of the
-dataset's distinct coded rows (player1, player2, race1, race2, map;
-``Dataset._coded``), never a row take.  The rows that hold games are
-indexed with their counts (``_index``; a bootstrap draw takes the whole
-dataset's index instead) and encoded once each
-(``_design``): each player code and map code has its columns
-(``_columns``, or ``_index`` with the index it builds), each row's
-three entries are lookups in them (``_slots``), and rows are keyed and
-merged from those entries, their counts summed (``_merge``).  That
-gives every bit of the index and the design of the same games taken
-and encoded row by row.  The design is held as its distinct rows up to
-sign, one ``scipy.sparse`` CSR matrix, each row with its game and win
-counts, and each game keeps the number of its row and its sign
-(``EncodedDataset``).  A subset of a design's games (a lambda-selection
-fold) is a count of them on its rows.  How many directions the
+Both steps take one route from games to a design.  An index counts
+games on the dataset's distinct coded rows (player1, player2, race1,
+race2, map; ``Dataset._coded``), never on a row take (``_index``,
+given each row's game count).  The design of every game of a dataset
+encodes each distinct row once (``_design``): each player code and map
+code has its columns (``_columns``, or ``_index`` with the index it
+builds), each row's three entries are lookups in them (``_slots``),
+and rows are keyed and merged from those entries, their counts summed
+(``_merge``).  That gives every bit of the index and the design of the
+same games taken and encoded row by row.  The design is held as its
+distinct rows up to sign, one ``scipy.sparse`` CSR matrix, each row
+with its game and win counts, and each game keeps the number of its row
+and its sign (``EncodedDataset``).  Any other set of the dataset's
+games (a bootstrap draw, a cross-validation training or test fold, a
+lambda-selection fold) is a subset of such a design
+(``EncodedDataset.subset``): a count of its games on the design's
+rows, which stay in key order, so that too is every bit of the design
+of those games taken and encoded row by row.  How many directions the
 anchoring leaves unidentified follows from the design's structure
 alone (``_nullity``), which the fit reads once, for every design of a
 stack in one call.
@@ -209,12 +210,15 @@ class EncodedDataset:
 
     def subset(self, games: np.ndarray) -> "EncodedDataset":
         """The design of the games at ``games`` (indices, which may repeat),
-        as game and win counts on the rows of ``X`` that hold one."""
+        as game and win counts on the rows of ``X`` that hold one, in their
+        order: every bit of the design of those games encoded alone under
+        ``index``.  It is how every bootstrap draw and cross-validation or
+        lambda-selection fold reaches its design."""
         drawn, sign, response = self.row[games], self.sign[games], self.response[games]
         won = np.where(sign > 0, response, 1 - response)
         m = np.bincount(drawn)
         kept = np.flatnonzero(m)
-        row = (np.cumsum(m > 0) - 1)[drawn]  # each game's row among the kept, as in _design
+        row = (np.cumsum(m > 0) - 1)[drawn]  # each game's row among the kept
         return EncodedDataset(self.X[kept], m[kept].astype(float),
                               np.bincount(drawn, weights=won)[kept], row, sign, response,
                               self.index)
@@ -330,44 +334,27 @@ def _slots(rows: np.ndarray, player: np.ndarray,
     return slots, sign
 
 
-def _counted_design(d: Dataset, picked: np.ndarray, min_games: int) -> EncodedDataset:
-    """The games of ``d`` at ``picked`` (row indices, which may repeat),
-    indexed afresh and encoded (``_design``): for s = d._take(picked),
-    build_design(s, build_parameter_index(s, min_games)) to the bit,
-    without the take.  It serves cross-validation training folds only,
-    where re-indexing a fold is what fitting that fold alone would do; a
-    bootstrap draw is encoded against the whole dataset's index."""
-    idx, player, matchup = _index(d, np.bincount(d._coded[1][picked]), min_games)
-    return _design(d, picked, player, matchup, idx)
-
-
-def _design(d: Dataset, picked: np.ndarray | None, player: np.ndarray, matchup: np.ndarray,
+def _design(d: Dataset, player: np.ndarray, matchup: np.ndarray,
             idx: ParameterIndex) -> EncodedDataset:
-    """The design of the games of ``d`` at ``picked`` (row indices, which
-    may repeat; None for every game, in order), as counts on d's distinct
-    coded rows, given each player code's and map code's columns
+    """The design of every game of ``d``, in order, as counts on d's
+    distinct coded rows, given each player code's and map code's columns
     (``_columns``).  An unrecognized race tag raises an EncodingError that
     names no record; ``_check`` names it."""
     coded, label, winner = d._coded
-    drawn, won = (label, winner) if picked is None else (label[picked], winner[picked])
-    m = np.bincount(drawn)
-    kept = np.flatnonzero(m)
-    rows = coded.take(kept, axis=0)
-    if (rows[:, 2:4] >= len(RACES)).any():
+    if (coded[:, 2:4] >= len(RACES)).any():
         raise EncodingError("a game has an unrecognized race tag")
-    X, games, wins, row, orient = _merge(*_slots(rows, player, matchup), idx.p,
-                                         m[kept].astype(float),
-                                         np.bincount(drawn, weights=won)[kept])
-    game_row = (np.cumsum(m > 0) - 1)[drawn]  # each game's row among the kept
-    return EncodedDataset(X, games, wins, row[game_row], orient[game_row],
-                          won.astype(np.int8), idx)
+    X, games, wins, row, orient = _merge(*_slots(coded, player, matchup), idx.p,
+                                         np.bincount(label).astype(float),
+                                         np.bincount(label, weights=winner))
+    return EncodedDataset(X, games, wins, row[label], orient[label],
+                          winner.astype(np.int8), idx)
 
 
 def build_design(d: Dataset, idx: ParameterIndex) -> EncodedDataset:
     """Encode every record, in dataset order; an EncodingError names the
     first record with an unknown player or map or race tag."""
     _check(d, idx)
-    return _design(d, None, *_columns(d, idx), idx)
+    return _design(d, *_columns(d, idx), idx)
 
 
 def _nullity(X: scipy.sparse.csr_array, gram: scipy.sparse.csr_array, sizes: np.ndarray,

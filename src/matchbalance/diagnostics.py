@@ -9,12 +9,13 @@ and an L1 fit's zero set.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .design import EncodedDataset, _check, _columns, _counted_design, _design
+from .design import EncodedDataset, _check, _design, _index
 from .glm import (FitError, FitOptions, FitResult, _accuracy, _cv_folds, _fit_stacks,
                   chi_square_sf)
 
@@ -138,27 +139,31 @@ def k_fold_cv(
 
     Rows are partitioned uniformly at random into k near-equal folds.
     Each fold's model is indexed and fitted from its training rows
-    only; its test rows, in dataset order, are encoded against that
-    index (both as counts on d's distinct coded rows), so unseen players
-    or maps contribute 0 at prediction time, mirroring the anchoring
-    policy.  The k training fits run together (``glm._fit_stacks``).
+    only.  Every game of ``d`` is encoded once against that index, and
+    the fold's training design and its test design (test rows in
+    dataset order) are two subsets of that design
+    (``EncodedDataset.subset``), so unseen players or maps contribute 0
+    at prediction time, mirroring the anchoring policy.  The k training
+    fits run together (``glm._fit_stacks``); the test designs of the
+    folds in the stack being fitted are held until their fits end.
     """
     folds = _cv_folds(len(d), k, seed)
     _check(d)  # race tags, once: every fold's games are games of d
+    tests = deque()  # the held-out designs of the folds whose fits are pending
 
-    designs = (_counted_design(d, train_rows, min_games) for train_rows, _ in folds)
+    def designs():
+        for rows in folds:
+            train, test = _fold(d, *rows, min_games)
+            tests.append(test)
+            yield train
 
-    def trained(data, fit):  # what the test rows need, and no design
+    def accuracies(train, fit):
         if isinstance(fit, FitError):
             raise fit
-        return data.index, fit.coefficients, _accuracy(fit.coefficients, data)
+        beta = fit.coefficients
+        return _accuracy(beta, train), _accuracy(beta, tests.popleft())
 
-    per_fold: list[tuple[float, float]] = []
-    for (_, test_rows), (idx, beta, train_acc) in zip(folds,
-                                                     _fit_stacks(designs, opts, trained)):
-        test = _design(d, test_rows, *_columns(d, idx), idx)
-        per_fold.append((train_acc, _accuracy(beta, test)))
-
+    per_fold = _fit_stacks(designs(), opts, accuracies)
     train_acc = np.array([a for a, _ in per_fold])
     test_acc = np.array([b for _, b in per_fold])
     return CvSummary(
@@ -170,6 +175,17 @@ def k_fold_cv(
         k=k,
         seed=seed,
     )
+
+
+def _fold(d: Dataset, train_rows: np.ndarray, test_rows: np.ndarray,
+          min_games: int) -> tuple[EncodedDataset, EncodedDataset]:
+    """A cross-validation fold's training and test designs: the games of
+    ``d`` indexed from the training games' counts, as fitting them alone
+    would, encoded once, and the two subsets of that design; apart, so
+    that the fold's whole design is freed before the fits run."""
+    idx, player, matchup = _index(d, np.bincount(d._coded[1][train_rows]), min_games)
+    full = _design(d, player, matchup, idx)
+    return full.subset(train_rows), full.subset(test_rows)
 
 
 def zero_overlap(threshold_anchored: set[str], lasso_fit: FitResult) -> float:

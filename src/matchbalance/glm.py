@@ -167,8 +167,8 @@ class FitResult:
     Anchored players own no column, so their coefficients are
     implicitly zero.  ``no_data_columns`` lists the columns that had
     no observations and were frozen at zero: matchup columns with no
-    games and, in a bootstrap draw encoded against the whole dataset's
-    index, player columns of players the draw holds no game of.
+    games and, in a bootstrap draw (a subset of the whole dataset's
+    design), player columns of players the draw holds no game of.
     ``stabilized`` means the active design is structurally
     rank-deficient, so every Newton system's diagonal was scaled by
     ``1 + LAST_RESORT_RIDGE`` and that relative ridge chose the
@@ -254,15 +254,16 @@ def _fit_stacks(designs, opts: FitOptions, use) -> list:
     Consecutive designs are fitted together as one stack, which closes
     once its designs reach ``_STACK_ROWS`` distinct rows, and ``use``
     sees a stack's fits before the next design is read: no more than
-    one stack's designs are held at a time.  A None in place of a design
-    is passed on as use(None, None).
+    one stack's designs are held at a time.  Bootstrap draws and
+    cross-validation folds come here as subsets of an encoded design
+    (``EncodedDataset.subset``).
     """
     if opts.l1_lambda != 0:
         raise ValueError("fit_irls is unpenalized; use fit_lasso for l1_lambda > 0")
     out, pending, rows = [], [], 0
     for data in designs:
         pending.append(data)
-        rows += 0 if data is None else data.X.shape[0]
+        rows += data.X.shape[0]
         if rows >= _STACK_ROWS:
             out += _fit_pending(pending, opts, use)
             pending, rows, data = [], 0, None  # held by nothing while the next is read
@@ -271,9 +272,8 @@ def _fit_stacks(designs, opts: FitOptions, use) -> list:
 
 def _fit_pending(pending: list, opts: FitOptions, use) -> list:
     """``use`` on each of ``pending``, fitted as one stack."""
-    stack = [data for data in pending if data is not None]
-    fits = iter(_newton(stack, opts, [np.zeros(data.p) for data in stack], False))
-    return [use(data, None if data is None else next(fits)) for data in pending]
+    fits = _newton(pending, opts, [np.zeros(data.p) for data in pending], False)
+    return [use(data, fit) for data, fit in zip(pending, fits)]
 
 
 def fit_lasso(data: EncodedDataset, opts: FitOptions, *,

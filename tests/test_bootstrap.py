@@ -191,15 +191,16 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
         mb.bootstrap_balance(d, B=10, opts=opts, min_games=6, seed=0)
 
     # the draws' fits come as stacks from bt._fit_stacks: plant 3 FitErrors
-    # among the fits it hands on and 2 ValueErrors in the draws' encoder
-    designs = iter(range(10))
-    design = bt._design
+    # among the fits it hands on and 2 ValueErrors in the statistic of the
+    # next two draws
+    statistics = iter(range(10))
+    balance = bt._balance
     fit_stacks = bt._fit_stacks
 
-    def failing_design(*args):
-        if next(designs) in (3, 4):
+    def failing_balance(fit, data):
+        if next(statistics) < 2:
             raise ValueError("planted")
-        return design(*args)
+        return balance(fit, data)
 
     def failing_fits(designs, opts, use):
         draws = iter(range(10))
@@ -209,7 +210,7 @@ def test_bootstrap_failures_are_counted_by_cause(monkeypatch):
 
         return fit_stacks(designs, opts, planted)
 
-    monkeypatch.setattr(bt, "_design", failing_design)
+    monkeypatch.setattr(bt, "_balance", failing_balance)
     monkeypatch.setattr(bt, "_fit_stacks", failing_fits)
     with pytest.raises(mb.BootstrapError,
                        match=r"5 of 10 .*\(3 raised FitError, 2 raised ValueError\)"):
@@ -366,16 +367,14 @@ def test_bootstrap_balance_draws_lacking_a_matchup_cell_fail(monkeypatch):
     assert summary.draws == expected
 
 
-def test_bootstrap_draws_holding_an_unrecognized_race_tag_fail():
-    # as with building each draw's design: a draw fails exactly when it holds a
-    # game with a race tag outside the three, and the others are refitted
+def test_bootstrap_names_a_record_with_an_unrecognized_race_tag():
+    # as cross-validation and build_design do: before any draw, an EncodingError
+    # names the first record with a race tag outside the three
     _, d = casual_base_league(84, n_pro_games=400, n_pros=8, casuals_per_race=6)
     records = list(d.records)
     records[5] = replace(records[5], race1="Random")
     raw = Dataset.from_records(records)
-    holding = [5 in np.random.default_rng(np.random.SeedSequence((3, b))).integers(
-        0, len(raw), size=len(raw)) for b in range(12)]
-    assert 0 < sum(holding) < 12
-    with pytest.raises(mb.BootstrapError,
-                       match=rf"{sum(holding)} of 12 .*\({sum(holding)} raised ValueError\)"):
-        mb.bootstrap_balance(raw, B=12, min_games=6, seed=3)
+    for run in (mb.bootstrap_balance, mb.bootstrap_dispersion):
+        with pytest.raises(mb.EncodingError,
+                           match=r"^record 5 \(.*\): unrecognized race tag 'Random'$"):
+            run(raw, B=12, min_games=6, seed=3)

@@ -16,11 +16,11 @@ bitwise the accuracy with |eta| clipped to the fit's cap.  A design
 fitted in a stack with others, in any order, gives every bit of the fit
 it gives alone, also beside designs that are stabilized, run to the
 iteration limit or fail to solve.  Games picked from a
-dataset as counts on its distinct coded rows, as every index and design
-counts them, give every bit of the index, the distinct rows and
-the no-data columns of the same games taken row by row, and so does a
-subset of a design's games counted on its rows, as lambda-selection
-folds are; read per game, each design's linear predictor is bitwise the
+dataset, indexed from their counts on its distinct coded rows and taken
+as a subset of the dataset's design (as every bootstrap draw and
+cross-validation fold is), give every bit of the index, the distinct
+rows and the no-data columns of the same games taken row by row; read
+per game, each design's linear predictor is bitwise the
 record-by-record design's product, signed zeros included.
 """
 import datetime as dt
@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import matchbalance as mb
 from matchbalance.data import Dataset, MatchRecord
-from matchbalance.design import _columns, _counted_design, _design, _index, _nullity
+from matchbalance.design import _columns, _design, _index, _nullity
 from matchbalance import glm
 from matchbalance.glm import FitError, fit_from_obj, fit_to_obj, sigmoid
 from helpers import pinned_small_league
@@ -173,9 +173,9 @@ def test_coded_row_takes_match_the_record_oracle(d, m, identifiable, draw):
     assert idx == mb.build_parameter_index(Dataset.from_records(train), m,
                                            ensure_identifiable=identifiable)
     assert_same_design(mb.build_design(take, idx), encode_records(train, idx))
-    # a CV test fold: held-out games counted on d's rows, encoded against idx
-    assert_same_design(_design(d, np.array(held_out, dtype=np.intp), *_columns(d, idx), idx),
-                       encode_records(test, idx, strict=False))
+    # a CV test fold: the held-out games' subset of d's design under idx
+    held_out_design = _design(d, *_columns(d, idx), idx).subset(np.array(held_out, np.intp))
+    assert_same_design(held_out_design, encode_records(test, idx, strict=False))
     try:
         expected = encode_records(test, idx)
     except mb.EncodingError as exc:
@@ -215,12 +215,13 @@ def assert_same_games(data, expected):
 @encoder_settings
 @given(leagues(), min_games, st.data())
 def test_counted_games_give_the_row_take_design(d, m, draw):
-    # a CV training fold, as game counts on the dataset's distinct coded
-    # rows, gives every bit of the index, the distinct rows and the no-data
-    # columns of its row take; a bootstrap draw, counted so and encoded
-    # against the whole dataset's index, and a subset of the whole dataset's
-    # design, as a lambda-selection fold takes it, give every bit of the row
-    # take's design under that index; the rows repeat, omit and reorder games
+    # a CV training fold, indexed from its game counts on the dataset's
+    # distinct coded rows and taken as a subset of the dataset's design under
+    # that index, gives every bit of the index, the distinct rows and the
+    # no-data columns of its row take; a bootstrap draw or a lambda-selection
+    # fold, a subset of the dataset's design under the whole dataset's index,
+    # gives every bit of the row take's design under that index; the rows
+    # repeat, omit and reorder games
     rows = np.array(draw.draw(st.lists(st.integers(0, len(d) - 1), min_size=1,
                                        max_size=2 * len(d))))
     take = d._take(rows)
@@ -239,8 +240,9 @@ def test_counted_games_give_the_row_take_design(d, m, draw):
         assert np.array_equal(coded[label], data._rows[:, :5])
         assert np.array_equal(winner, data._rows[:, 5])
 
-    counted = _counted_design(d, rows, m)
-    assert counted.index == idx
+    counted_idx, *columns = _index(d, np.bincount(d._coded[1][rows]), m)
+    assert counted_idx == idx
+    counted = _design(d, *columns, idx).subset(rows)
     assert_same_games(counted, expected)
     X_take = encode_records(take.records, idx)[0]
     assert glm._Block(counted).no_data == tuple(
@@ -249,7 +251,7 @@ def test_counted_games_give_the_row_take_design(d, m, draw):
     assert_same_games(subset, expected_subset)
     whole, *columns = _index(d, np.bincount(d._coded[1]), m)
     assert whole == full
-    drawn = _design(d, rows, *columns, full)
+    drawn = _design(d, *columns, full).subset(rows)
     assert_same_games(drawn, expected_subset)
     # read per game, each is the take's design encoded record by record, also
     # where beta gives zeros: at 0, and at whole numbers, whose sums cancel exactly
